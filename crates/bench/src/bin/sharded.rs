@@ -32,7 +32,7 @@
 //!   codec and session machinery, not network parallelism;
 //! * the async backend at 4 shards in each instrumentation mode
 //!   (`async-sync-4` / `async-async-4` / `async-hybrid-4`): the same
-//!   fleet through the executor-driven drainers, pricing the futures
+//!   fleet through the delivery queues and drain threads, pricing that
 //!   machinery against the plain sharded path mode by mode.
 //!
 //! A separate **saturation** block runs the

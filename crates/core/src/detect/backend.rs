@@ -11,7 +11,9 @@
 //! * [`DetectionBackend`] is the checking side: registration, the
 //!   synchronous calling-order lookahead, the periodic checkpoint,
 //!   stats, violation collection and shutdown. Implementations differ
-//!   only in where the work runs.
+//!   only in where the work runs; this crate has two, the
+//!   [`InlineBackend`] below and the shard core
+//!   ([`crate::detect::shard`]).
 //! * [`ProducerHandle`] is the instrumentation side: a cheap
 //!   **per-thread** handle that owns its own batch buffer. The hot
 //!   path — [`ProducerHandle::observe`] — touches no state shared with
@@ -19,18 +21,20 @@
 //!   bounded-channel send per batch per shard. No shared mutex is
 //!   acquired per observed event.
 //!
-//! Three backends are provided:
+//! The provided backends:
 //!
 //! * [`InlineBackend`] — the paper's shape: one [`Detector`] behind one
 //!   lock, checked synchronously on the observing thread. Its handles
 //!   are unbuffered (every `observe` is a lock + check).
-//! * [`ShardedBackend`] — wraps [`ShardedDetector`]: monitors partition
-//!   across worker shards, each handle owns per-shard batch buffers
-//!   plus its own clones of the shard inbox senders — the
-//!   multi-producer ingestion front-end.
-//! * [`crate::detect::ScheduledBackend`] — sharding plus a per-shard
-//!   checkpoint scheduler (a ticker thread sweeps the shards
-//!   round-robin for timer checks, no global barrier).
+//! * [`ShardedBackend`](crate::detect::ShardedBackend) — the shard
+//!   core: monitors partition across worker shards, each handle owns
+//!   per-shard batch buffers plus its own clones of the shard inbox
+//!   senders — the multi-producer ingestion front-end.
+//! * [`ScheduledBackend`](crate::detect::ScheduledBackend) — the same
+//!   core with a ticker (a thread sweeps the shards round-robin, no
+//!   global barrier) — and [`AsyncBackend`](crate::detect::AsyncBackend)
+//!   — the same core with queued ingest and per-monitor
+//!   instrumentation modes.
 //!
 //! # Why per-thread handles are sound
 //!
@@ -77,8 +81,7 @@
 //! ```
 
 use crate::config::{DetectorConfig, Mode};
-use crate::detect::service::{shard_for, ShardMsg};
-use crate::detect::{Detector, ServiceConfig, ServiceStats, ShardStats, ShardedDetector};
+use crate::detect::{Detector, ServiceStats, ShardStats};
 use crate::event::Event;
 use crate::ids::{MonitorId, Pid, ProcName};
 use crate::rule::RuleId;
@@ -86,7 +89,6 @@ use crate::spec::MonitorSpec;
 use crate::state::MonitorState;
 use crate::time::Nanos;
 use crate::violation::{FaultReport, Violation};
-use crossbeam::channel::{Sender, TrySendError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -202,7 +204,7 @@ impl SnapshotTable {
     }
 
     fn lock(&self) -> MutexGuard<'_, SnapshotTableInner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        lock(&self.inner)
     }
 
     /// Publishes (or replaces) one monitor's observed state.
@@ -513,18 +515,15 @@ pub fn gather_snapshots(
     (snapshots, gates)
 }
 
-/// Shared storage for a backend's registered [`SnapshotProvider`] —
-/// `Arc`ed so detached consumers (the scheduler ticker) see later
-/// registrations.
-pub(crate) type ProviderSlot = Arc<Mutex<Option<Arc<dyn SnapshotProvider>>>>;
+/// Storage for a backend's registered [`SnapshotProvider`].
+pub(crate) type ProviderSlot = Mutex<Option<Arc<dyn SnapshotProvider>>>;
 
-pub(crate) fn provider_of(slot: &ProviderSlot) -> Option<Arc<dyn SnapshotProvider>> {
-    slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).clone()
+/// Poison-tolerant lock: a thread that panicked while holding `mutex`
+/// must not wedge the backend for every other thread. Every update made
+/// under the backends' locks leaves the data valid at every step.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
-
-// ---------------------------------------------------------------------
-// Inline
-// ---------------------------------------------------------------------
 
 /// Everything behind the inline backend's single lock.
 #[derive(Debug)]
@@ -542,10 +541,8 @@ struct InlineShared {
 }
 
 impl InlineShared {
-    /// Poison-tolerant lock: a panicking observer must not wedge the
-    /// backend for every other thread.
     fn lock(&self) -> MutexGuard<'_, InlineState> {
-        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        lock(&self.state)
     }
 }
 
@@ -609,8 +606,7 @@ impl DetectionBackend for InlineBackend {
     }
 
     fn set_snapshot_provider(&self, provider: Arc<dyn SnapshotProvider>) {
-        *self.shared.provider.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) =
-            Some(provider);
+        *lock(&self.shared.provider) = Some(provider);
     }
 
     fn checkpoint(&self, scope: CheckpointScope, now: Nanos) -> FaultReport {
@@ -628,7 +624,7 @@ impl DetectionBackend for InlineBackend {
         // locks, and observing threads acquire those locks before the
         // detector lock (the observe path) — gathering under the
         // detector lock would invert that order.
-        let provider = provider_of(&self.shared.provider);
+        let provider = lock(&self.shared.provider).clone();
         let (snapshots, gates) = gather_snapshots(provider.as_deref(), &monitors, now);
         self.shared.lock().det.checkpoint_scoped(now, &snapshots, &gates, only)
     }
@@ -690,429 +686,12 @@ impl ProducerHandle for InlineProducer {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded
-// ---------------------------------------------------------------------
-
-/// The multi-producer ingestion front-end over [`ShardedDetector`]:
-/// monitors partition across worker shards, and every producer handle
-/// owns its own per-shard batch buffers plus private clones of the
-/// shard inbox senders — the caller-side hot path shares nothing with
-/// other producers.
-///
-/// Compare [`InlineBackend`], where each observation contends on one
-/// detector lock, and the pre-trait runtime backend, where all threads
-/// funneled through one shared batch-buffer mutex.
-#[derive(Debug)]
-pub struct ShardedBackend {
-    svc: ShardedDetector,
-    batch: usize,
-    /// When set, new handles adapt their batch between these bounds
-    /// instead of using the fixed `batch`.
-    adaptive: Option<AdaptiveBatch>,
-    /// The configured base instrumentation mode, answered uniformly
-    /// for every monitor (per-monitor adaptation lives in the
-    /// `AsyncBackend` wrapper).
-    mode: Mode,
-    open: Arc<AtomicBool>,
-    /// The registered snapshot source, shared (`Arc`) so a scheduler
-    /// ticker holding a clone observes later registrations.
-    provider: ProviderSlot,
-}
-
-/// Default events buffered per handle before a flush.
-pub const DEFAULT_INGEST_BATCH: usize = 64;
-
-/// Grow/shrink policy for a producer handle's ingest batch size,
-/// driven by channel pressure.
-///
-/// A fixed batch size is a latency/throughput compromise chosen
-/// blind: small batches keep detection latency low but pay one channel
-/// send per few events; large batches amortize the sends but hold
-/// events back. The adaptive policy lets each handle find its own
-/// operating point from the only signal that matters — whether the
-/// shard inboxes are keeping up:
-///
-/// * a flush that found **no pressure** (every shard accepted its
-///   batch without blocking) **doubles** the batch, up to `max` —
-///   the shards are keeping up, so trade latency for throughput;
-/// * a flush that **hit pressure** (some shard's bounded inbox was
-///   full and the send had to block) **halves** the batch, down to
-///   `min` — the checkers are behind, so stop accumulating latency on
-///   top of backpressure.
-///
-/// The doubling/halving curve is pinned by unit test; handles start at
-/// `min` so an idle stream keeps its latency floor.
-///
-/// # Examples
-///
-/// ```
-/// use rmon_core::detect::AdaptiveBatch;
-///
-/// let mut b = AdaptiveBatch::new(2, 16);
-/// assert_eq!(b.current(), 2);
-/// assert_eq!(b.on_flush(false), 4); // no pressure: grow
-/// assert_eq!(b.on_flush(false), 8);
-/// assert_eq!(b.on_flush(true), 4); // pressure: shrink
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveBatch {
-    min: usize,
-    max: usize,
-    current: usize,
-}
-
-impl AdaptiveBatch {
-    /// A policy bounded by `[min, max]` (both clamped to at least 1,
-    /// `max` to at least `min`), starting at `min`.
-    pub fn new(min: usize, max: usize) -> Self {
-        let min = min.max(1);
-        let max = max.max(min);
-        AdaptiveBatch { min, max, current: min }
-    }
-
-    /// The batch size the next flush threshold uses.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// The lower bound.
-    pub fn min(&self) -> usize {
-        self.min
-    }
-
-    /// The upper bound.
-    pub fn max(&self) -> usize {
-        self.max
-    }
-
-    /// Feeds one flush outcome into the policy and returns the new
-    /// batch size: halve on pressure (floor `min`), double otherwise
-    /// (cap `max`).
-    pub fn on_flush(&mut self, pressured: bool) -> usize {
-        self.current = if pressured {
-            (self.current / 2).max(self.min)
-        } else {
-            (self.current * 2).min(self.max)
-        };
-        self.current
-    }
-}
-
-impl ShardedBackend {
-    /// Spawns the shard workers (see [`ShardedDetector::new`]) with the
-    /// default per-handle ingest batch ([`DEFAULT_INGEST_BATCH`]).
-    pub fn new(cfg: DetectorConfig, service: ServiceConfig) -> Self {
-        ShardedBackend {
-            svc: ShardedDetector::new(cfg, service),
-            batch: DEFAULT_INGEST_BATCH,
-            adaptive: None,
-            mode: cfg.mode,
-            open: Arc::new(AtomicBool::new(true)),
-            provider: ProviderSlot::default(),
-        }
-    }
-
-    /// Overrides how many events a producer handle buffers before
-    /// flushing a batch to the shards (clamped to at least 1). Handles
-    /// created *after* the call use the new size. Clears a previously
-    /// configured adaptive policy.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.set_batch(batch);
-        self
-    }
-
-    /// Makes handles created after the call size their batches
-    /// adaptively between `min` and `max` based on channel pressure
-    /// (see [`AdaptiveBatch`]).
-    pub fn with_adaptive_batch(mut self, min: usize, max: usize) -> Self {
-        self.set_adaptive_batch(min, max);
-        self
-    }
-
-    /// In-place form of [`Self::with_batch`], for wrappers that cannot
-    /// move the backend.
-    pub fn set_batch(&mut self, batch: usize) {
-        self.batch = batch.max(1);
-        self.adaptive = None;
-    }
-
-    /// In-place form of [`Self::with_adaptive_batch`].
-    pub fn set_adaptive_batch(&mut self, min: usize, max: usize) {
-        self.adaptive = Some(AdaptiveBatch::new(min, max));
-    }
-
-    /// The wrapped service (shard topology, counters).
-    pub fn service(&self) -> &ShardedDetector {
-        &self.svc
-    }
-
-    /// The per-handle ingest batch size.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The shared provider slot, for wrappers (the scheduled backend's
-    /// ticker) that need to observe registrations after spawn time.
-    pub(crate) fn provider_slot(&self) -> ProviderSlot {
-        Arc::clone(&self.provider)
-    }
-}
-
-impl Drop for ShardedBackend {
-    fn drop(&mut self) {
-        // Mark outstanding producer handles closed so their owners can
-        // prune them; the wrapped service joins its workers in its own
-        // drop.
-        self.open.store(false, Ordering::Release);
-    }
-}
-
-impl DetectionBackend for ShardedBackend {
-    fn register(
-        &self,
-        monitor: MonitorId,
-        spec: Arc<MonitorSpec>,
-        initial: &MonitorState,
-        now: Nanos,
-    ) {
-        self.svc.register(monitor, spec, initial, now);
-    }
-
-    fn producer(&self) -> Box<dyn ProducerHandle> {
-        let senders = self.svc.shard_senders();
-        let bufs = senders.iter().map(|_| Vec::new()).collect();
-        Box::new(ShardedProducer {
-            senders,
-            bufs,
-            buffered: 0,
-            batch: self.adaptive.map(|a| a.current()).unwrap_or(self.batch),
-            adaptive: self.adaptive,
-            pressured: false,
-            open: Arc::clone(&self.open),
-        })
-    }
-
-    fn call_would_violate(
-        &self,
-        monitor: MonitorId,
-        pid: Pid,
-        proc_name: ProcName,
-    ) -> Option<RuleId> {
-        self.svc.call_would_violate(monitor, pid, proc_name)
-    }
-
-    fn set_snapshot_provider(&self, provider: Arc<dyn SnapshotProvider>) {
-        *self.provider.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(provider);
-    }
-
-    fn checkpoint(&self, scope: CheckpointScope, now: Nanos) -> FaultReport {
-        let n = self.svc.shards();
-        let (shards, only) = match scope {
-            CheckpointScope::All => ((0..n).collect::<Vec<_>>(), None),
-            CheckpointScope::Shard(s) if s < n => (vec![s], None),
-            CheckpointScope::Shard(_) => return FaultReport::default(),
-            CheckpointScope::Monitor(m) => (vec![self.svc.shard_of(m)], Some(m)),
-        };
-        let provider = provider_of(&self.provider);
-        let senders = self.svc.shard_senders();
-        // Request every in-scope shard first, then collect: the shards
-        // check concurrently, so the checkpoint costs the slowest
-        // shard's latency rather than the sum.
-        let replies: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let monitors = match only {
-                    Some(m) => vec![m],
-                    None => self.svc.monitors_on(shard),
-                };
-                let (snapshots, gates) = gather_snapshots(provider.as_deref(), &monitors, now);
-                ShardedDetector::request_checkpoint_on(
-                    &senders, shard, now, snapshots, gates, only, false,
-                )
-            })
-            .collect();
-        FaultReport::merged(replies.into_iter().map(|rx| rx.recv().unwrap_or_default()))
-    }
-
-    fn checkpoint_window(
-        &self,
-        now: Nanos,
-        events: &[Event],
-        snapshots: &HashMap<MonitorId, MonitorState>,
-    ) -> FaultReport {
-        self.svc.checkpoint(now, events, snapshots)
-    }
-
-    fn stats(&self) -> ServiceStats {
-        self.svc.flush();
-        self.svc.stats()
-    }
-
-    fn drain_violations(&self) -> Vec<Violation> {
-        self.svc.flush();
-        self.svc.drain_violations()
-    }
-
-    fn shutdown(&self) {
-        self.open.store(false, Ordering::Release);
-        self.svc.shutdown();
-    }
-
-    fn label(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn shard_of(&self, monitor: MonitorId) -> usize {
-        self.svc.shard_of(monitor)
-    }
-
-    fn instrumentation_mode(&self, _monitor: MonitorId) -> Mode {
-        self.mode
-    }
-}
-
-/// The sharded backends' buffered handle: per-shard buffers drained by
-/// one channel send per shard per batch.
-#[derive(Debug)]
-struct ShardedProducer {
-    senders: Vec<Sender<ShardMsg>>,
-    bufs: Vec<Vec<Event>>,
-    buffered: usize,
-    batch: usize,
-    /// Per-handle adaptive policy (each handle adapts to the pressure
-    /// *it* observes; handles share no state).
-    adaptive: Option<AdaptiveBatch>,
-    /// A previous `try_flush` left a retained batch behind. While set,
-    /// every `try_observe` re-attempts delivery regardless of the
-    /// flush threshold — a handle whose retained batch dropped
-    /// `buffered` back below `batch` must not sit on those events
-    /// until new arrivals refill the threshold (retained-event
-    /// starvation).
-    pressured: bool,
-    open: Arc<AtomicBool>,
-}
-
-impl ProducerHandle for ShardedProducer {
-    fn observe(&mut self, event: Event) {
-        if !self.open.load(Ordering::Acquire) {
-            return;
-        }
-        let shard = shard_for(event.monitor, self.senders.len());
-        self.bufs[shard].push(event);
-        self.buffered += 1;
-        if self.buffered >= self.batch {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.buffered == 0 {
-            return;
-        }
-        let mut pressured = false;
-        for (shard, buf) in self.bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                // Probe without blocking first: a full inbox is the
-                // pressure signal the adaptive policy feeds on. The
-                // batch is then delivered with a blocking send — the
-                // same backpressure as before. A disconnected channel
-                // means the worker shut down; the events are dropped
-                // exactly like post-shutdown observes.
-                match self.senders[shard].try_send(ShardMsg::Batch(std::mem::take(buf))) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(msg)) => {
-                        pressured = true;
-                        let _ = self.senders[shard].send(msg);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {}
-                }
-            }
-        }
-        self.buffered = 0;
-        self.pressured = false;
-        if let Some(policy) = &mut self.adaptive {
-            self.batch = policy.on_flush(pressured);
-        }
-    }
-
-    fn try_observe(&mut self, event: Event) -> Backpressure {
-        if !self.open.load(Ordering::Acquire) {
-            // Post-shutdown observes are dropped, like observe();
-            // nothing awaits a retry.
-            return Backpressure::Accepted;
-        }
-        let shard = shard_for(event.monitor, self.senders.len());
-        self.bufs[shard].push(event);
-        self.buffered += 1;
-        // A pressured handle retries on *every* observe, not only at
-        // the flush threshold: a retained batch may have left
-        // `buffered < batch`, and waiting for new arrivals to refill
-        // the threshold would starve the retained events if the stream
-        // goes quiet (see the `pressured` field).
-        if self.buffered >= self.batch || self.pressured {
-            self.try_flush()
-        } else {
-            Backpressure::Accepted
-        }
-    }
-
-    fn try_flush(&mut self) -> Backpressure {
-        if self.buffered == 0 {
-            return Backpressure::Accepted;
-        }
-        let mut pressured = false;
-        for (shard, buf) in self.bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                match self.senders[shard].try_send(ShardMsg::Batch(std::mem::take(buf))) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(msg)) => {
-                        // The inbox pushed back: keep the batch in the
-                        // handle for a later retry (never dropped).
-                        if let ShardMsg::Batch(batch) = msg {
-                            *buf = batch;
-                        }
-                        pressured = true;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {}
-                }
-            }
-        }
-        self.buffered = self.bufs.iter().map(Vec::len).sum();
-        self.pressured = pressured;
-        // Pressure feeds the same adaptive policy as a blocking flush —
-        // a refused hand-off halves the batch exactly like a blocking
-        // one (pinned by unit test).
-        if let Some(policy) = &mut self.adaptive {
-            self.batch = policy.on_flush(pressured);
-        }
-        if pressured {
-            Backpressure::Full
-        } else {
-            Backpressure::Accepted
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.buffered
-    }
-
-    fn is_closed(&self) -> bool {
-        !self.open.load(Ordering::Acquire)
-    }
-}
-
-impl Drop for ShardedProducer {
-    fn drop(&mut self) {
-        if self.open.load(Ordering::Acquire) {
-            self.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::{
+        AsyncBackend, ScheduledBackend, SchedulerConfig, ServiceConfig, ShardedBackend,
+    };
     use crate::spec::AllocatorSpec;
 
     fn allocator_spec() -> (Arc<MonitorSpec>, AllocatorSpec) {
@@ -1155,6 +734,8 @@ mod tests {
             Box::new(InlineBackend::new(cfg)),
             Box::new(ShardedBackend::new(cfg, ServiceConfig::new(1))),
             Box::new(ShardedBackend::new(cfg, ServiceConfig::new(4)).with_batch(4)),
+            Box::new(ScheduledBackend::new(cfg, ServiceConfig::new(2), SchedulerConfig::default())),
+            Box::new(AsyncBackend::new(cfg, ServiceConfig::new(2)).with_batch(4)),
         ]
     }
 
@@ -1179,41 +760,6 @@ mod tests {
                 None => reference = Some(got),
             }
         }
-    }
-
-    #[test]
-    fn two_handles_split_by_pid_match_single_handle_results() {
-        // The multi-producer shape: each pid's stream flows through its
-        // own handle, handles flush at different times (batch 1 vs
-        // batch 1000), so batches interleave at the shards.
-        let (spec, _) = allocator_spec();
-        let events = faulty_events(6);
-        let single = ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(3));
-        let split = ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(3));
-        for id in 0..6 {
-            single.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-            split.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-        }
-        let mut p = single.producer();
-        for e in &events {
-            p.observe(*e);
-        }
-        p.flush();
-        let want = drain_after_flush(&single);
-
-        let mut eager = split.producer(); // flushed after every event
-        let mut lazy = split.producer(); // flushed only at the end
-        for e in &events {
-            if e.pid == Pid::new(1) {
-                lazy.observe(*e);
-            } else {
-                eager.observe(*e);
-                eager.flush();
-            }
-        }
-        lazy.flush();
-        let got = drain_after_flush(&split);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1265,280 +811,14 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_handle_flushes_buffered_events() {
-        let (spec, al) = allocator_spec();
-        let backend =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2))
-                .with_batch(1000);
-        backend.register_empty(MonitorId::new(0), Arc::clone(&spec), Nanos::ZERO);
-        let mut p = backend.producer();
-        p.observe(Event::enter(
-            1,
-            Nanos::new(10),
-            MonitorId::new(0),
-            Pid::new(1),
-            al.release,
-            true,
-        ));
-        assert_eq!(p.pending(), 1);
-        drop(p);
-        assert!(!backend.drain_violations().is_empty());
-    }
-
-    #[test]
-    fn adaptive_batch_policy_is_pinned() {
-        // The exact grow/shrink curve: double on a clean flush (cap
-        // max), halve on a pressured flush (floor min), starting at
-        // min.
-        let mut b = AdaptiveBatch::new(2, 16);
-        assert_eq!((b.min(), b.max(), b.current()), (2, 16, 2));
-        let growth: Vec<usize> = (0..5).map(|_| b.on_flush(false)).collect();
-        assert_eq!(growth, [4, 8, 16, 16, 16], "doubles and saturates at max");
-        let shrink: Vec<usize> = (0..4).map(|_| b.on_flush(true)).collect();
-        assert_eq!(shrink, [8, 4, 2, 2], "halves and saturates at min");
-        // Recovery after pressure clears.
-        assert_eq!(b.on_flush(false), 4);
-        // Degenerate bounds are clamped.
-        let b = AdaptiveBatch::new(0, 0);
-        assert_eq!((b.min(), b.max(), b.current()), (1, 1, 1));
-        let b = AdaptiveBatch::new(8, 2);
-        assert_eq!((b.min(), b.max()), (8, 8), "max is clamped up to min");
-    }
-
-    #[test]
-    fn adaptive_handle_grows_batch_while_unpressured() {
-        // With a deep inbox the shards always keep up, so the handle's
-        // flush threshold doubles after every flush: flush points land
-        // after 1, then 2, then 4, then 8 buffered events.
-        let (spec, al) = allocator_spec();
-        let backend =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(1))
-                .with_adaptive_batch(1, 8);
-        backend.register_empty(MonitorId::new(0), Arc::clone(&spec), Nanos::ZERO);
-        let mut p = backend.producer();
-        let mut flush_gaps = Vec::new();
-        let mut since_flush = 0;
-        for seq in 1..=32u64 {
-            p.observe(Event::enter(
-                seq,
-                Nanos::new(seq * 10),
-                MonitorId::new(0),
-                Pid::new(1),
-                al.request,
-                seq == 1,
-            ));
-            since_flush += 1;
-            if p.pending() == 0 {
-                flush_gaps.push(since_flush);
-                since_flush = 0;
-            }
-        }
-        assert_eq!(
-            &flush_gaps[..4],
-            &[1, 2, 4, 8],
-            "batch must double while the channel absorbs every flush: {flush_gaps:?}"
-        );
-        assert!(flush_gaps[4..].iter().all(|&g| g == 8), "saturates at max: {flush_gaps:?}");
-        p.flush();
-        let stats = backend.stats();
-        assert_eq!(stats.total_events(), 32);
-        backend.shutdown();
-    }
-
-    #[test]
-    fn adaptive_handles_report_the_same_violations() {
-        // Equivalence: the adaptive batch only changes *when* batches
-        // flush, never what is detected.
-        let (spec, _) = allocator_spec();
-        let events = faulty_events(6);
-        let fixed = ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2));
-        let adaptive =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2))
-                .with_adaptive_batch(1, 4);
-        for id in 0..6 {
-            fixed.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-            adaptive.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-        }
-        let mut want_p = fixed.producer();
-        let mut got_p = adaptive.producer();
-        for e in &events {
-            want_p.observe(*e);
-            got_p.observe(*e);
-        }
-        want_p.flush();
-        got_p.flush();
-        assert_eq!(drain_after_flush(&adaptive), drain_after_flush(&fixed));
-    }
-
-    /// A handle wired to a 1-deep inbox nobody drains: the
-    /// deterministic way to hit real channel backpressure.
-    fn stalled_producer(
-        adaptive: Option<AdaptiveBatch>,
-    ) -> (ShardedProducer, crossbeam::channel::Receiver<ShardMsg>) {
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        let producer = ShardedProducer {
-            senders: vec![tx],
-            bufs: vec![Vec::new()],
-            buffered: 0,
-            batch: adaptive.map(|a| a.current()).unwrap_or(1),
-            adaptive,
-            pressured: false,
-            open: Arc::new(AtomicBool::new(true)),
-        };
-        (producer, rx)
-    }
-
-    fn event_for(seq: u64, proc_name: crate::ids::ProcName) -> Event {
-        Event::enter(seq, Nanos::new(seq * 10), MonitorId::new(0), Pid::new(1), proc_name, true)
-    }
-
-    #[test]
-    fn try_observe_reports_full_on_a_full_inbox_and_keeps_the_events() {
-        let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(None);
-        // First batch fills the 1-deep inbox.
-        assert_eq!(p.try_observe(event_for(1, al.request)), Backpressure::Accepted);
-        assert_eq!(p.pending(), 0);
-        // Second batch has nowhere to go: Full, and the event stays
-        // buffered in the handle — backpressure never drops.
-        assert_eq!(p.try_observe(event_for(2, al.release)), Backpressure::Full);
-        assert_eq!(p.pending(), 1);
-        // Retrying without draining stays Full.
-        assert_eq!(p.try_flush(), Backpressure::Full);
-        assert_eq!(p.pending(), 1);
-        // Drain the inbox: the retry now delivers the retained batch.
-        assert!(matches!(rx.recv(), Ok(ShardMsg::Batch(b)) if b.len() == 1));
-        assert_eq!(p.try_flush(), Backpressure::Accepted);
-        assert_eq!(p.pending(), 0);
-        assert!(matches!(rx.recv(), Ok(ShardMsg::Batch(b)) if b.len() == 1 && b[0].seq == 2));
-    }
-
-    #[test]
-    fn try_flush_on_an_empty_handle_is_accepted() {
-        let (mut p, _rx) = stalled_producer(None);
-        assert_eq!(p.try_flush(), Backpressure::Accepted);
-    }
-
-    /// The retained-event starvation regression: a `try_flush` that
-    /// delivers some shards while one shard's inbox refuses its batch
-    /// leaves `buffered < batch`. Such a handle must keep re-offering
-    /// the retained batch on subsequent `try_observe`s — waiting for
-    /// new arrivals to refill the flush threshold would park the
-    /// retained events forever on a quiet stream, even after the shard
-    /// drains.
-    #[test]
-    fn retained_events_are_reoffered_below_the_flush_threshold() {
-        let (_, al) = allocator_spec();
-        // Two 1-deep shard inboxes; shard 0's is full before the run.
-        let (tx0, rx0) = crossbeam::channel::bounded(1);
-        let (tx1, rx1) = crossbeam::channel::bounded(1);
-        tx0.try_send(ShardMsg::Batch(Vec::new())).unwrap();
-        let mut p = ShardedProducer {
-            senders: vec![tx0, tx1],
-            bufs: vec![Vec::new(), Vec::new()],
-            buffered: 0,
-            batch: 8,
-            adaptive: None,
-            pressured: false,
-            open: Arc::new(AtomicBool::new(true)),
-        };
-        let m0 = (0u32..).map(MonitorId::new).find(|&m| shard_for(m, 2) == 0).unwrap();
-        let m1 = (0u32..).map(MonitorId::new).find(|&m| shard_for(m, 2) == 1).unwrap();
-        let ev = |seq: u64, m: MonitorId| {
-            Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, seq == 1)
-        };
-        // Reach the threshold: 7 events for the parked shard, 1 for the
-        // live one. The flush delivers shard 1 and retains shard 0's
-        // batch — Full, with 7 events left and the threshold no longer
-        // reachable from them alone.
-        for seq in 1..=7 {
-            assert_eq!(p.try_observe(ev(seq, m0)), Backpressure::Accepted);
-        }
-        assert_eq!(p.try_observe(ev(8, m1)), Backpressure::Full);
-        assert!(matches!(rx1.try_recv(), Ok(ShardMsg::Batch(b)) if b.len() == 1));
-        assert_eq!(p.pending(), 7);
-        // The parked shard drains.
-        assert!(matches!(rx0.try_recv(), Ok(ShardMsg::Batch(b)) if b.is_empty()));
-        // One new event — far below the threshold of 8. A pressured
-        // handle must re-offer anyway and deliver everything.
-        assert_eq!(p.try_observe(ev(9, m1)), Backpressure::Accepted);
-        assert_eq!(p.pending(), 0, "retained events must not starve below the threshold");
-        assert!(matches!(rx0.try_recv(), Ok(ShardMsg::Batch(b)) if b.len() == 7));
-        assert!(matches!(rx1.try_recv(), Ok(ShardMsg::Batch(b)) if b.len() == 1 && b[0].seq == 9));
-        assert!(!p.pressured, "a fully delivered flush clears the pressure flag");
-    }
-
-    /// The ISSUE's literal shape: park a full inbox, drain the shard,
-    /// and assert a bare `try_flush` (no new events at all) delivers
-    /// the retained batch.
-    #[test]
-    fn a_bare_try_flush_delivers_retained_events_after_the_shard_drains() {
-        let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(None);
-        assert_eq!(p.try_observe(event_for(1, al.request)), Backpressure::Accepted);
-        assert_eq!(p.try_observe(event_for(2, al.request)), Backpressure::Full);
-        assert_eq!(p.pending(), 1);
-        assert!(p.pressured);
-        // Drain the shard; no new events arrive.
-        assert!(matches!(rx.recv(), Ok(ShardMsg::Batch(b)) if b.len() == 1));
-        assert_eq!(p.try_flush(), Backpressure::Accepted);
-        assert_eq!(p.pending(), 0);
-        assert!(matches!(rx.recv(), Ok(ShardMsg::Batch(b)) if b.len() == 1 && b[0].seq == 2));
-    }
-
-    #[test]
-    fn a_blocking_flush_clears_the_pressure_flag() {
-        let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(None);
-        let _ = p.try_observe(event_for(1, al.request));
-        assert_eq!(p.try_observe(event_for(2, al.request)), Backpressure::Full);
-        assert!(p.pressured);
-        assert!(matches!(rx.recv(), Ok(ShardMsg::Batch(_))));
-        p.flush();
-        assert!(!p.pressured);
-        assert_eq!(p.pending(), 0);
-    }
-
-    #[test]
-    fn try_observe_pressure_still_halves_the_adaptive_batch() {
-        // The adaptive policy must see non-blocking pressure exactly
-        // like blocking pressure: a refused hand-off halves the batch.
-        let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(Some(AdaptiveBatch::new(1, 8)));
-        // Clean flushes grow the batch 1 → 2 → 4 while the inbox is
-        // drained promptly.
-        assert_eq!(p.try_observe(event_for(1, al.request)), Backpressure::Accepted);
-        assert!(rx.try_recv().is_ok());
-        assert_eq!(p.batch, 2);
-        for seq in 2..=3 {
-            let _ = p.try_observe(event_for(seq, al.request));
-        }
-        assert!(rx.try_recv().is_ok());
-        assert_eq!(p.batch, 4);
-        for seq in 4..=7 {
-            let _ = p.try_observe(event_for(seq, al.request));
-        }
-        assert_eq!(p.batch, 8, "unpressured growth doubles");
-        // Fill the inbox, then force a pressured try_flush: halve.
-        assert!(rx.try_recv().is_ok());
-        for seq in 8..=15 {
-            let _ = p.try_observe(event_for(seq, al.request));
-        }
-        // Inbox holds the seq 8..=15 batch now; the next flush is
-        // refused — nobody drains it in this test, so the outcome is
-        // deterministic.
-        assert_eq!(p.try_observe(event_for(16, al.request)), Backpressure::Accepted);
-        assert_eq!(p.try_flush(), Backpressure::Full);
-        assert_eq!(p.batch, 4, "pressure halves the batch: {p:?}");
-    }
-
-    #[test]
     fn inline_try_observe_checks_synchronously_and_never_pushes_back() {
         let (spec, al) = allocator_spec();
         let backend = InlineBackend::new(DetectorConfig::without_timeouts());
         backend.register_empty(MonitorId::new(0), Arc::clone(&spec), Nanos::ZERO);
         let mut p = backend.producer();
-        assert_eq!(p.try_observe(event_for(1, al.release)), Backpressure::Accepted);
+        let release =
+            Event::enter(1, Nanos::new(10), MonitorId::new(0), Pid::new(1), al.release, true);
+        assert_eq!(p.try_observe(release), Backpressure::Accepted);
         assert!(!backend.drain_violations().is_empty(), "release without request");
     }
 
@@ -1593,112 +873,6 @@ mod tests {
             assert_eq!(got_v, want_v, "flavor {flavor:?}");
             assert_eq!(got.events_checked, want.events_checked, "flavor {flavor:?}");
         }
-    }
-
-    #[test]
-    fn shard_scopes_partition_the_full_checkpoint() {
-        let (spec, _) = allocator_spec();
-        let events = faulty_events(10);
-        let drive = |backend: &ShardedBackend| {
-            for id in 0..10 {
-                backend.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-            }
-            let mut p = backend.producer();
-            for e in &events {
-                p.observe(*e);
-            }
-            p.flush();
-        };
-        let all = ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(4));
-        drive(&all);
-        let want = all.checkpoint(CheckpointScope::All, Nanos::new(1000));
-        let _ = all.drain_violations();
-
-        let by_shard =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(4));
-        drive(&by_shard);
-        let mut merged = FaultReport::default();
-        for shard in 0..4 {
-            merged.merge(by_shard.checkpoint(CheckpointScope::Shard(shard), Nanos::new(1000)));
-        }
-        merged.sort_canonical();
-        let _ = by_shard.drain_violations();
-        assert_eq!(merged.violations, want.violations);
-        assert_eq!(merged.events_checked, want.events_checked);
-        // Out-of-range shard scope is an empty no-op.
-        assert!(by_shard.checkpoint(CheckpointScope::Shard(9), Nanos::new(2000)).is_clean());
-        all.shutdown();
-        by_shard.shutdown();
-    }
-
-    #[test]
-    fn monitor_scope_checks_one_monitor_only() {
-        let (spec, al) = allocator_spec();
-        let backend =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2));
-        for id in 0..4 {
-            backend.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-        }
-        // A bare exit on monitor 2 (flagged by Algorithm-1 replay) and
-        // one on monitor 3.
-        let mut p = backend.producer();
-        for id in [2u32, 3] {
-            p.observe(Event::signal_exit(
-                u64::from(id),
-                Nanos::new(10),
-                MonitorId::new(id),
-                Pid::new(1),
-                al.request,
-                None,
-                false,
-            ));
-        }
-        p.flush();
-        let _ = backend.drain_violations();
-        let report =
-            backend.checkpoint(CheckpointScope::Monitor(MonitorId::new(2)), Nanos::new(100));
-        assert_eq!(report.events_checked, 1, "{report}");
-        assert!(report.violations.iter().all(|v| v.monitor == MonitorId::new(2)), "{report}");
-        assert!(!report.is_clean(), "exit without enter must be flagged");
-        // Monitor 3's pending window is untouched: a later full scoped
-        // checkpoint still finds it.
-        let rest = backend.checkpoint(CheckpointScope::All, Nanos::new(200));
-        assert!(rest.violations.iter().any(|v| v.monitor == MonitorId::new(3)), "{rest}");
-        backend.shutdown();
-    }
-
-    #[test]
-    fn provider_snapshots_feed_scoped_comparisons() {
-        // A tampered observation (a phantom process running inside the
-        // monitor) must be caught by the scoped checkpoint through the
-        // provider, exactly like the window form catches it through
-        // the snapshot map.
-        let (spec, al) = allocator_spec();
-        let m = MonitorId::new(0);
-        let backend =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2));
-        backend.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        let mut p = backend.producer();
-        // One clean request/release cycle: the true final state has
-        // nobody running.
-        p.observe(Event::enter(1, Nanos::new(10), m, Pid::new(1), al.request, true));
-        p.observe(Event::signal_exit(2, Nanos::new(20), m, Pid::new(1), al.request, None, false));
-        p.observe(Event::enter(3, Nanos::new(30), m, Pid::new(1), al.release, true));
-        p.observe(Event::signal_exit(4, Nanos::new(40), m, Pid::new(1), al.release, None, false));
-        p.flush();
-        let table = Arc::new(SnapshotTable::default());
-        let mut tampered = MonitorState::with_resources(0, 1);
-        tampered.running.push(crate::ids::PidProc::new(Pid::new(9), al.request));
-        table.publish(m, tampered);
-        table.expect_events(m, 4);
-        backend.set_snapshot_provider(Arc::clone(&table) as Arc<dyn SnapshotProvider>);
-        let report = backend.checkpoint(CheckpointScope::All, Nanos::new(100));
-        assert!(
-            report.violates_any(&[RuleId::St1EntrySnapshot]),
-            "phantom running process must be flagged: {report}"
-        );
-        let _ = backend.drain_violations();
-        backend.shutdown();
     }
 
     #[test]

@@ -20,18 +20,20 @@
 //! the prototype's periodically-invoked checking routine does.
 
 //!
-//! For deployments watching many monitors at once, [`service`] layers a
-//! sharded, batched detection service over the same engine: monitors
-//! partition across worker threads by [`service::shard_for`], events
-//! arrive in batches over bounded channels, and violations aggregate
-//! through a per-shard-counting collector.
+//! For deployments watching many monitors at once, [`shard`] puts a
+//! pool of worker threads over the same engine: monitors partition
+//! across the workers by [`shard::shard_for`], events arrive in batches
+//! over bounded channels, and violations aggregate through a
+//! per-shard-counting collector.
 //!
 //! The [`backend`] module puts a uniform, pluggable API over all of
 //! it: [`DetectionBackend`] (where checking runs) × [`ProducerHandle`]
 //! (cheap per-thread ingestion handles that own their own batch
-//! buffers), with [`InlineBackend`], [`ShardedBackend`] and — adding a
-//! per-shard checkpoint [`scheduler`] — [`ScheduledBackend`] as the
-//! provided implementations. The checkpoint half of the API is a trait
+//! buffers). It has two implementations: [`InlineBackend`], and the
+//! shard core, whose configurations are named [`ShardedBackend`],
+//! [`ScheduledBackend`] (the core with a checkpoint ticker) and
+//! [`AsyncBackend`] (the core with queued ingest and per-monitor
+//! instrumentation [`mode`]s). The checkpoint half of the API is a trait
 //! pair of its own: a [`SnapshotProvider`] supplies live monitor-state
 //! observations (the paper's `s_t`) and
 //! [`DetectionBackend::checkpoint`] runs the full Algorithm-1/2/timer
@@ -41,18 +43,19 @@
 pub mod algorithm1;
 pub mod algorithm2;
 pub mod algorithm3;
-pub mod async_backend;
 pub mod backend;
 mod engine;
+pub mod mode;
 pub mod predict;
-pub mod scheduler;
-pub mod service;
+pub mod shard;
 
-pub use async_backend::{AsyncBackend, ModeController, ModePolicy, Observe};
 pub use backend::{
-    gather_snapshots, AdaptiveBatch, Backpressure, CheckpointScope, DetectionBackend,
-    InlineBackend, ProducerHandle, ShardedBackend, SnapshotProvider, SnapshotTable,
+    gather_snapshots, Backpressure, CheckpointScope, DetectionBackend, InlineBackend,
+    ProducerHandle, SnapshotProvider, SnapshotTable,
 };
 pub use engine::{Detector, MonitorChecker};
-pub use scheduler::{ClockFn, ScheduledBackend, SchedulerConfig};
-pub use service::{ServiceConfig, ServiceStats, ShardStats, ShardedDetector};
+pub use mode::{ModeController, ModePolicy};
+pub use shard::{
+    AdaptiveBatch, AsyncBackend, ClockFn, Observe, ScheduledBackend, SchedulerConfig,
+    ServiceConfig, ServiceStats, ShardStats, ShardedBackend,
+};

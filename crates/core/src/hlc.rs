@@ -4,7 +4,7 @@
 //! batches from N independent worker processes, each stamping events
 //! with its own monotone [`Nanos`] clock. Detection itself needs only
 //! per-session FIFO order (the engine's watermarks are per
-//! `(monitor, pid)` — see `crate::detect::service`), but the *fleet*
+//! `(monitor, pid)` — see `crate::detect::shard`), but the *fleet*
 //! still wants one timeline that respects causality across workers:
 //! service-side checkpoint times must not run backwards relative to
 //! any event already ingested, and operators want a bounded notion of

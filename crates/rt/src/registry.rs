@@ -23,7 +23,7 @@
 //! `crate::runtime::RtInner::record_observe`. One thread =
 //! one [`Pid`] = one segment = one handle is also what upholds the
 //! backends' per-caller ordering precondition (see
-//! `rmon_core::detect::backend`).
+//! `rmon_core::detect::shard`).
 
 use crate::recorder::{Recorder, ThreadSegment};
 use rmon_core::detect::{DetectionBackend, ProducerHandle};

@@ -221,7 +221,7 @@ impl RtInner {
     /// * [`Mode::Async`] — fire-and-forget: one `try_observe`, never a
     ///   block. A refused batch stays retained in the handle and is
     ///   re-offered on the thread's next observation or flush (see the
-    ///   pressure flag in `rmon_core::detect::backend`), and every
+    ///   pressure flag in `rmon_core::detect::shard`), and every
     ///   backend barrier flushes thread producers first, so asynchrony
     ///   defers checking latency without ever losing an event.
     /// * [`Mode::Hybrid`]`(t)` — Sync's yield-retry loop, but bounded

@@ -72,8 +72,22 @@ impl EventSink for DurableSink {
         self.append(&Record::Register { monitor, name: name.to_string(), time: now })
     }
 
+    /// A window whose encoding is past [`OplogConfig::max_record_bytes`]
+    /// is written as consecutive `Events` records under the cap (the
+    /// replayer concatenates staged `Events` records up to the
+    /// committing checkpoint), with the log held throughout so that no
+    /// other record falls between the pieces.
     fn append_events(&self, events: &[Event]) -> io::Result<()> {
-        self.append(&Record::Events(events.to_vec()))
+        fn append_window(oplog: &mut Oplog, events: &[Event]) -> io::Result<()> {
+            let payload = encode_record(&Record::Events(events.to_vec()));
+            if payload.len() > oplog.config().max_record_bytes as usize && events.len() > 1 {
+                let (head, tail) = events.split_at(events.len() / 2);
+                append_window(oplog, head)?;
+                return append_window(oplog, tail);
+            }
+            oplog.append(&payload).map(drop)
+        }
+        append_window(&mut self.oplog.lock(), events)
     }
 
     fn sync(&self) -> io::Result<()> {

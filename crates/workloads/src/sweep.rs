@@ -2,8 +2,8 @@
 //!
 //! Besides the single-monitor window sweeps, this module builds
 //! *fleet* scenarios — many independent monitors interleaved into one
-//! event stream — which are the input material for the sharded
-//! detection service ([`rmon_core::detect::ShardedDetector`]): enough
+//! event stream — which are the input material for the
+//! shard core ([`rmon_core::detect::ShardedBackend`]): enough
 //! concurrent monitors that partitioning them across worker shards
 //! actually spreads load.
 

@@ -65,8 +65,7 @@ pub mod prelude {
     pub use rmon_core::detect::{
         AsyncBackend, Backpressure, CheckpointScope, DetectionBackend, InlineBackend,
         ModeController, ModePolicy, Observe, ProducerHandle, ScheduledBackend, SchedulerConfig,
-        ServiceConfig, ServiceStats, ShardedBackend, ShardedDetector, SnapshotProvider,
-        SnapshotTable,
+        ServiceConfig, ServiceStats, ShardedBackend, SnapshotProvider, SnapshotTable,
     };
     pub use rmon_core::{
         analyze, analyze_all, analyze_fleet, monitor_spec, taxonomy, DetectorConfig, DiagCode,

@@ -1,7 +1,10 @@
 //! Documentation hygiene: every internal markdown link in README.md and
-//! docs/*.md must resolve to a file in the repository. CI's docs job
-//! runs this alongside the rustdoc build, so a renamed doc or a stale
-//! path fails the push that broke it.
+//! docs/*.md must resolve to a file in the repository, every repository
+//! path those files quote in a code span must exist, and every
+//! `symbol` — `path.rs` pointer of docs/PAPER_MAP.md must name an item
+//! that file defines. CI's docs job runs this alongside the rustdoc
+//! build, so a renamed doc, a moved item or a stale path fails the
+//! push that broke it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -83,9 +86,8 @@ fn check_file(repo: &Path, md_path: &Path, broken: &mut Vec<String>) {
     }
 }
 
-#[test]
-fn readme_and_docs_links_resolve() {
-    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+/// README.md and every markdown file under docs/, sorted.
+fn doc_files(repo: &Path) -> Vec<PathBuf> {
     let mut files = vec![repo.join("README.md")];
     let docs = repo.join("docs");
     let mut entries: Vec<PathBuf> = fs::read_dir(&docs)
@@ -96,12 +98,130 @@ fn readme_and_docs_links_resolve() {
     entries.sort();
     assert!(!entries.is_empty(), "docs/ must contain markdown");
     files.extend(entries);
+    files
+}
 
+#[test]
+fn readme_and_docs_links_resolve() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut broken = Vec::new();
-    for f in &files {
+    for f in &doc_files(&repo) {
         check_file(&repo, f, &mut broken);
     }
     assert!(broken.is_empty(), "broken internal links:\n{}", broken.join("\n"));
+}
+
+/// The inline code spans of one markdown line, in order, each with the
+/// text that follows it up to the next span (or the end of the line).
+fn code_spans(line: &str) -> Vec<(&str, &str)> {
+    let parts: Vec<&str> = line.split('`').collect();
+    // Odd parts are inside backticks; an unterminated span is text.
+    (1..parts.len().saturating_sub(1)).step_by(2).map(|i| (parts[i], parts[i + 1])).collect()
+}
+
+/// Whether a code span quotes a path into this repository.
+fn is_repo_path(span: &str) -> bool {
+    const ROOTS: [&str; 7] =
+        ["crates/", "tests/", "examples/", "docs/", "vendor/", "layerbench/", "src/"];
+    // A glob (`vendor/*`) names no one file.
+    ROOTS.iter().any(|root| span.starts_with(root))
+        && !span.contains(|c: char| c.is_whitespace() || c == '*')
+}
+
+/// Expands one `{a,b,c}` group, the only shorthand the docs use.
+fn expand_braces(path: &str) -> Vec<String> {
+    match (path.find('{'), path.find('}')) {
+        (Some(open), Some(close)) if open < close => path[open + 1..close]
+            .split(',')
+            .map(|alt| format!("{}{alt}{}", &path[..open], &path[close + 1..]))
+            .collect(),
+        _ => vec![path.to_string()],
+    }
+}
+
+/// Whether `source` defines an item called `name`: the name follows one
+/// of the item keywords.
+fn defines(source: &str, name: &str) -> bool {
+    const KEYWORDS: [&str; 8] =
+        ["fn", "struct", "enum", "trait", "type", "const", "mod", "macro_rules!"];
+    source.match_indices(name).any(|(at, _)| {
+        let after = source[at + name.len()..].chars().next();
+        let before = source[..at].trim_end();
+        !after.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            && source[..at].ends_with(char::is_whitespace)
+            && KEYWORDS.iter().any(|kw| before.ends_with(kw))
+    })
+}
+
+/// The item a pointer's code span names: the last `::` segment, without
+/// call parentheses or a macro's `!`.
+fn item_name(span: &str) -> &str {
+    let last = span.rsplit("::").next().unwrap_or(span);
+    last.trim_end_matches("()").trim_end_matches('!')
+}
+
+#[test]
+fn quoted_paths_exist_and_paper_map_pointers_name_defined_items() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut broken = Vec::new();
+    for md_path in doc_files(&repo) {
+        let text = fs::read_to_string(&md_path).unwrap_or_else(|e| panic!("read {md_path:?}: {e}"));
+        let is_map = md_path.ends_with("PAPER_MAP.md");
+        let mut fenced = false;
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+            }
+            if fenced {
+                continue;
+            }
+            let at = format!("{}:{}", md_path.display(), n + 1);
+            // A pointer is one or more `names`, " / " between them, then
+            // " — " and the `path.rs` that defines them all.
+            let mut names: Vec<&str> = Vec::new();
+            for (span, after) in code_spans(line) {
+                if !is_repo_path(span) {
+                    match after {
+                        " / " | " — " => names.push(span),
+                        _ => names.clear(),
+                    }
+                    continue;
+                }
+                let path = span.trim_end_matches('/');
+                if path.rsplit('/').next().is_some_and(|file| file.contains(':')) {
+                    broken.push(format!("{at}: `{span}` carries a line number; name the item"));
+                }
+                for file in expand_braces(path) {
+                    if !repo.join(&file).exists() {
+                        broken.push(format!("{at}: `{file}` does not exist"));
+                    } else if is_map && file.ends_with(".rs") {
+                        let source = fs::read_to_string(repo.join(&file)).expect("read source");
+                        for name in names.iter().map(|span| item_name(span)) {
+                            if !defines(&source, name) {
+                                broken.push(format!("{at}: `{file}` defines no item `{name}`"));
+                            }
+                        }
+                    }
+                }
+                names.clear();
+            }
+        }
+    }
+    assert!(broken.is_empty(), "stale code pointers:\n{}", broken.join("\n"));
+}
+
+#[test]
+fn pointer_helpers_parse_spans_braces_and_items() {
+    let line = "| x | `a::B` / `c()` — `crates/x/src/y.rs`; see `tests/{p,q}_z.rs` |";
+    let spans: Vec<&str> = code_spans(line).into_iter().map(|(span, _)| span).collect();
+    assert_eq!(spans, ["a::B", "c()", "crates/x/src/y.rs", "tests/{p,q}_z.rs"]);
+    assert_eq!(code_spans(line)[0].1, " / ");
+    assert!(is_repo_path("crates/x/src/y.rs") && !is_repo_path("cargo run -p x"));
+    assert_eq!(expand_braces("tests/{p,q}_z.rs"), ["tests/p_z.rs", "tests/q_z.rs"]);
+    assert_eq!((item_name("a::B"), item_name("c()"), item_name("m!")), ("B", "c", "m"));
+    let source = "pub struct Bee;\npub(crate) fn c() {}\nmacro_rules! m { () => {} }";
+    assert!(defines(source, "c") && defines(source, "m") && !defines(source, "B"));
+    assert!(defines("pub struct B<T>(T);", "B"));
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! process "restart" (second epoch) and a crash torn into the journal
 //! tail mid-write.
 
+use rmon::core::oplog::{decode_record, Record};
 use rmon::prelude::*;
-use rmon::storage::{replay_dir, DurableSink, OplogConfig};
+use rmon::storage::{replay_dir, DurableSink, Oplog, OplogConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -152,6 +153,50 @@ fn scoped_checkpoint_crash_replay_equivalence() {
     let outcome = replay(&dir);
     assert_eq!(outcome.epochs, 2, "{outcome:?}");
     assert!(!outcome.recorded.is_empty());
+    assert!(outcome.matches(), "diverged: {:?}", outcome.mismatch());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A drained window larger than one record may be is journaled as
+/// several `Events` records, not refused: nothing is missing from the
+/// journal and replay sees every event.
+#[test]
+fn a_window_past_the_record_cap_is_split_and_replays_whole() {
+    let dir = tmp_dir("oversized");
+    let cap = 1 << 10;
+    let cfg = OplogConfig { max_record_bytes: cap, ..OplogConfig::default() };
+    let sink = Arc::new(DurableSink::open(&dir, cfg).expect("open oplog"));
+    let rt = Runtime::builder(DetectorConfig::without_timeouts())
+        .journal(Arc::clone(&sink))
+        .order_policy(OrderPolicy::Report)
+        .build();
+    let fleet: Vec<ResourceAllocator> =
+        (0..4).map(|i| ResourceAllocator::new(&rt, &format!("res-{i}"), UNITS)).collect();
+    // Clean cycles only, so that the checkpoint record itself stays
+    // small; one window of several hundred events, many times the cap.
+    for _ in 0..40 {
+        for al in &fleet {
+            al.request().expect("request");
+            al.release().expect("release");
+        }
+    }
+    let report = rt.checkpoint_now();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(rt.journal_errors(), 0, "an oversized window must not be refused");
+    drop(rt);
+    let (payloads, _) = Oplog::read_dir_records(&dir, cap).expect("read the journal");
+    let pieces = payloads
+        .iter()
+        .filter(|payload| matches!(decode_record(payload), Ok(Record::Events(_))))
+        .count();
+    assert!(pieces > 1, "one window of {} events fits no 1 KiB record", report.events_checked);
+
+    let resolve = move |_id, name: &str| Some(Arc::new(MonitorSpec::allocator(name, UNITS).spec));
+    let (outcome, read) =
+        replay_dir(&dir, cap, DetectorConfig::without_timeouts(), &resolve).expect("replay_dir");
+    assert!(!read.stopped_mid_log, "every record must be under the cap: {read:?}");
+    assert_eq!(outcome.events_replayed, report.events_checked, "{outcome:?}");
+    assert_eq!(outcome.uncommitted_records, 0, "{outcome:?}");
     assert!(outcome.matches(), "diverged: {:?}", outcome.mismatch());
     let _ = fs::remove_dir_all(&dir);
 }
