@@ -79,6 +79,16 @@ impl MonitorChecker {
         }
     }
 
+    /// Replays one event through Algorithm 1 and, for a communication
+    /// coordinator, Algorithm 2.
+    #[inline]
+    fn replay(&mut self, event: &Event, coordinator: bool, out: &mut Vec<Violation>) {
+        self.general.apply(&self.spec, event, out);
+        if coordinator {
+            self.resource.apply(&self.spec, event, out);
+        }
+    }
+
     /// The monitor's declaration.
     pub fn spec(&self) -> &MonitorSpec {
         &self.spec
@@ -456,6 +466,13 @@ impl Detector {
         };
         let predict_on = self.cfg.predict.is_on();
         let mut predict_windows: Vec<(MonitorId, Vec<Event>)> = Vec::new();
+        // Whether the explicit window is in `seq` order (a recorder
+        // window always is), asked at most once per checkpoint.
+        let window_sorted = std::cell::OnceCell::new();
+        // Algorithm-1/2 verdicts of a window replayed in place, held
+        // back so they follow the Algorithm-3 catch-up's as they do on
+        // the buffered path. Empty, and unallocated, on a clean window.
+        let mut replay_verdicts = Vec::new();
         for (&monitor, checker) in self.monitors.iter_mut() {
             if only.is_some_and(|m| m != monitor) {
                 continue;
@@ -476,6 +493,15 @@ impl Detector {
             // sitting in `pending` (counted once from there), so the
             // merged window holds every outstanding event exactly once.
             let mut merged = std::mem::take(&mut checker.pending);
+            // A monitor that does not stream in real time has nothing
+            // pending: the explicit window *is* its replay window, in
+            // order already, and is replayed where it lies. Copying it
+            // out first cost such a monitor a second window-sized
+            // buffer, grown by doubling and page-faulted, per window.
+            let in_place = merged.is_empty()
+                && !predict_on
+                && *window_sorted.get_or_init(|| events.is_sorted_by_key(|e| e.seq));
+            let mut replayed_in_place = 0;
             for event in events.iter().filter(|e| e.monitor == monitor) {
                 let mark = checker.order_marks.entry(event.pid).or_insert(0);
                 if event.seq > *mark {
@@ -488,24 +514,26 @@ impl Detector {
                     if matches!(event.kind, crate::event::EventKind::Terminate) {
                         checker.order.forget_caller(event.pid);
                     }
-                    merged.push(*event);
+                    if in_place {
+                        checker.replay(event, coordinator, &mut replay_verdicts);
+                        replayed_in_place += 1;
+                    } else {
+                        merged.push(*event);
+                    }
                 }
             }
+            out.append(&mut replay_verdicts);
             // Restore the one total order <L within the monitor: pended
             // batches from concurrent producers and the explicit window
             // may interleave, but `seq` is globally unique and assigned
             // in real order.
             merged.sort_unstable_by_key(|e| e.seq);
             for event in &merged {
-                report.events_checked += 1;
-                // Algorithm-1 replay.
-                checker.general.apply(&checker.spec, event, out);
-                // Algorithm-2 replay.
-                if coordinator {
-                    checker.resource.apply(&checker.spec, event, out);
-                }
+                checker.replay(event, coordinator, out);
             }
-            checker.replayed += merged.len() as u64;
+            let replayed = replayed_in_place + merged.len() as u64;
+            report.events_checked += replayed;
+            checker.replayed += replayed;
             // The predictive pass works over the whole checkpoint's
             // windows at once (cross-monitor happens-before edges), so
             // park this monitor's window until the loop is done.
@@ -858,6 +886,49 @@ mod tests {
         assert_eq!(seqs, sorted, "{report}");
         assert!(report.violates_any(&[RuleId::St3RunningIsCaller]));
         assert!(report.violates_any(&[RuleId::St3RunningUnique]));
+    }
+
+    #[test]
+    fn a_window_replayed_in_place_reports_what_the_buffered_replay_reports() {
+        // A faulty allocator window with Algorithm-3 verdicts (release
+        // without request, duplicate request) and Algorithm-1 verdicts
+        // (a second grant while busy) on interleaved callers.
+        let (_, al) = detector_with_allocator(1);
+        let window = vec![
+            Event::enter(1, Nanos::new(10), M, Pid::new(1), al.release, true),
+            Event::enter(2, Nanos::new(20), M, Pid::new(2), al.request, true),
+            Event::signal_exit(3, Nanos::new(30), M, Pid::new(1), al.release, None, false),
+            Event::enter(4, Nanos::new(40), M, Pid::new(2), al.request, true),
+            Event::signal_exit(5, Nanos::new(50), M, Pid::new(2), al.request, None, false),
+            Event::enter(6, Nanos::new(60), M, Pid::new(3), al.request, false),
+        ];
+        let check = |det: &mut Detector, events: &[Event]| {
+            let report = det.checkpoint(Nanos::new(100), events, &HashMap::new());
+            assert_eq!(det.checker(M).unwrap().replayed_events(), 6);
+            report
+        };
+        // Sorted, nothing pending: replayed where it lies.
+        let in_place = check(&mut detector_with_allocator(1).0, &window);
+        assert!(in_place.violates_any(&[RuleId::St8ReleaseWithoutRequest]), "{in_place}");
+        assert!(in_place.violates_any(&[RuleId::St8DuplicateRequest]), "{in_place}");
+        assert_eq!(in_place.events_checked, 6);
+        // Out of order (two callers' events swapped): copied out and
+        // sorted first.
+        let mut shuffled = window.clone();
+        shuffled.swap(2, 3);
+        let buffered = check(&mut detector_with_allocator(1).0, &shuffled);
+        assert_eq!(buffered.violations, in_place.violations);
+        assert_eq!(buffered.events_checked, 6);
+        // Half of it streamed ahead of the window: merged with the
+        // pending list. The streamed half's order verdicts were
+        // returned by `observe`; the rest must match.
+        let (mut det, _) = detector_with_allocator(1);
+        let streamed = det.observe_batch(&window[..3]);
+        let mut merged = check(&mut det, &window);
+        merged.violations.extend(streamed);
+        merged.sort_canonical();
+        assert_eq!(merged.violations, in_place.violations);
+        assert_eq!(merged.events_checked, 6);
     }
 
     #[test]

@@ -239,33 +239,76 @@ impl Event {
 /// ```
 pub fn merge_by_seq(mut streams: Vec<Vec<Event>>) -> Vec<Event> {
     streams.retain(|s| !s.is_empty());
-    match streams.len() {
-        0 => return Vec::new(),
-        1 => return streams.pop().expect("one stream"),
-        _ => {}
+    if streams.len() == 1 {
+        return streams.pop().expect("one stream");
     }
-    let total = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Per-stream read cursors; exhausted streams are swap-removed.
-    let mut cursors: Vec<(usize, &[Event])> = streams.iter().map(|s| (0, s.as_slice())).collect();
+    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    merge_runs_by_seq(streams.iter().map(|s| [s.as_slice()]), &mut out);
+    out
+}
+
+/// [`merge_by_seq`] over borrowed streams, appending to a buffer the
+/// caller keeps: each stream is a sequence of *runs* (slices) whose
+/// concatenation is sorted by `seq` — the shape of a recording segment,
+/// a list of fixed-size chunks. Events are copied exactly once, from
+/// their run into `out` (a caller that knows the total reserves it
+/// first); a single non-empty stream is appended run by run without
+/// any per-event comparison.
+///
+/// # Examples
+///
+/// ```
+/// use rmon_core::event::merge_runs_by_seq;
+/// use rmon_core::{Event, MonitorId, Nanos, Pid, ProcName};
+///
+/// let e = |seq| Event::enter(seq, Nanos::new(seq), MonitorId::new(0), Pid::new(1), ProcName::new(0), true);
+/// let (a, b) = ([e(1), e(4)], [e(2), e(3), e(5)]);
+/// let mut window = Vec::new();
+/// // Two streams; the second arrives as two runs.
+/// merge_runs_by_seq([vec![&a[..]], vec![&b[..2], &b[2..]]], &mut window);
+/// let seqs: Vec<u64> = window.iter().map(|e| e.seq).collect();
+/// assert_eq!(seqs, [1, 2, 3, 4, 5]);
+/// ```
+pub fn merge_runs_by_seq<'a, S>(streams: impl IntoIterator<Item = S>, out: &mut Vec<Event>)
+where
+    S: IntoIterator<Item = &'a [Event]>,
+{
+    // Per-stream cursors: the unread rest of the current run and the
+    // runs behind it. Exhausted streams are swap-removed.
+    let mut cursors: Vec<(&[Event], S::IntoIter)> = streams
+        .into_iter()
+        .filter_map(|stream| {
+            let mut runs = stream.into_iter();
+            let head = runs.find(|run| !run.is_empty())?;
+            Some((head, runs))
+        })
+        .collect();
+    if let [(head, runs)] = cursors.as_mut_slice() {
+        out.extend_from_slice(head);
+        for run in runs {
+            out.extend_from_slice(run);
+        }
+        return;
+    }
     while !cursors.is_empty() {
         let mut best = 0;
-        let mut best_seq = cursors[0].1[cursors[0].0].seq;
-        for (i, (pos, stream)) in cursors.iter().enumerate().skip(1) {
-            let seq = stream[*pos].seq;
-            if seq < best_seq {
+        let mut best_seq = cursors[0].0[0].seq;
+        for (i, (head, _)) in cursors.iter().enumerate().skip(1) {
+            if head[0].seq < best_seq {
                 best = i;
-                best_seq = seq;
+                best_seq = head[0].seq;
             }
         }
-        let (pos, stream) = &mut cursors[best];
-        out.push(stream[*pos]);
-        *pos += 1;
-        if *pos == stream.len() {
-            cursors.swap_remove(best);
+        let (head, runs) = &mut cursors[best];
+        out.push(head[0]);
+        *head = &head[1..];
+        if head.is_empty() {
+            match runs.find(|run| !run.is_empty()) {
+                Some(next) => *head = next,
+                None => drop(cursors.swap_remove(best)),
+            }
         }
     }
-    out
 }
 
 impl fmt::Display for Event {
@@ -394,6 +437,37 @@ mod tests {
         assert!(merge_by_seq(vec![Vec::new()]).is_empty());
         let single = merge_by_seq(vec![vec![e(8), e(11)]]);
         assert_eq!(single.len(), 2);
+    }
+
+    #[test]
+    fn merge_runs_by_seq_appends_and_skips_empty_runs() {
+        let e = |seq: u64| {
+            Event::enter(seq, Nanos::new(seq), mid(), Pid::new(1), ProcName::new(0), true)
+        };
+        let (a, b, c) = ([e(2), e(5), e(9)], [e(1), e(3)], [e(4), e(7)]);
+        let empty: &[Event] = &[];
+        let seqs = |w: &[Event]| w.iter().map(|ev| ev.seq).collect::<Vec<u64>>();
+        // Runs split anywhere, empty runs first, between and last; an
+        // all-empty stream; output appended behind what is there.
+        let mut out = vec![e(0)];
+        merge_runs_by_seq(
+            [
+                vec![empty, &a[..1], empty, &a[1..]],
+                vec![empty, empty],
+                vec![&b[..], empty],
+                vec![&c[..1], &c[1..]],
+            ],
+            &mut out,
+        );
+        assert_eq!(seqs(&out), [0, 1, 2, 3, 4, 5, 7, 9]);
+        // One stream of several runs: appended run by run.
+        let mut out = Vec::new();
+        merge_runs_by_seq([vec![&a[..2], empty, &a[2..]]], &mut out);
+        assert_eq!(seqs(&out), [2, 5, 9]);
+        // Nothing at all.
+        let mut out = Vec::new();
+        merge_runs_by_seq(Vec::<Vec<&[Event]>>::new(), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

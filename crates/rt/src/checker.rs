@@ -1,6 +1,7 @@
-//! The background checking routine: periodically invokes the detection
-//! algorithms, suspending monitor operations for the duration (§4 of
-//! the paper).
+//! The background checking routine (§4 of the paper): periodically
+//! suspends monitor operations, gathers the recorded window and the
+//! queue snapshots, and invokes the detection algorithms on them —
+//! [`Runtime::checkpoint_now`] on a thread of its own.
 
 use crate::runtime::Runtime;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -11,6 +12,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Handle to the background checker thread.
+///
+/// Each round is one [`Runtime::checkpoint_now`]: the application
+/// waits while the round *gathers* (microseconds), and the checking
+/// itself runs here, beside the application — except for monitors that
+/// stream in real time, which stay suspended until their check is done.
+/// A round that takes longer than `interval` simply delays the next
+/// one; rounds never overlap, and a manual `checkpoint_now()` from
+/// another thread is serialized with them.
 ///
 /// Reports are pushed both into the runtime (see
 /// [`Runtime::reports`]) and onto the channel returned by

@@ -10,7 +10,9 @@
 //!   the paper's three monitor types (communication coordinator,
 //!   resource-access-right allocator, resource operation manager);
 //! * [`CheckerHandle`] — the periodic checking routine, which suspends
-//!   monitor operations while it runs the detection algorithms;
+//!   monitor operations while it gathers the detection algorithms'
+//!   input (and, for monitors that stream in real time, while it runs
+//!   them — see [`Runtime::checkpoint_now`]);
 //! * [`overhead`] — the measurement harness that regenerates the
 //!   paper's Table 1 (overhead ratio vs. checking interval);
 //! * [`RtFault`] / [`BufferBug`] / [`MonitorGuard::abandon`] — fault
@@ -71,9 +73,9 @@ pub use error::MonitorError;
 pub use inject::{RtFault, RtInjector};
 pub use monitor::{Monitor, MonitorGuard};
 pub use raw::RawCore;
-pub use recorder::Recorder;
+pub use recorder::{Handover, Recorder};
 pub use recovery::{RecoveryAction, RecoveryChecker, RecoveryLog};
-pub use runtime::{OrderPolicy, Runtime, RuntimeBuilder, RuntimeSnapshotProvider};
+pub use runtime::{OrderPolicy, PauseStats, Runtime, RuntimeBuilder, RuntimeSnapshotProvider};
 
 #[cfg(test)]
 mod crate_tests {

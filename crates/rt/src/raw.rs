@@ -165,6 +165,14 @@ impl RawCore {
         self.recorded.load(Ordering::Acquire)
     }
 
+    /// Whether this monitor's events stream into the backend as they
+    /// are recorded (it has calling-order concerns) rather than
+    /// reaching it only through checkpoint windows — which decides how
+    /// long a checkpoint barrier must keep it suspended.
+    pub(crate) fn streams_realtime(&self) -> bool {
+        self.needs_order
+    }
+
     /// The monitor id.
     pub fn id(&self) -> MonitorId {
         self.id
@@ -201,10 +209,12 @@ impl RawCore {
     /// running processes are suspended" protocol. Every monitor
     /// primitive mutates its queues **and records its scheduling
     /// event** under this lock (an invariant of this module), so a
-    /// checkpoint holding the guards of all live monitors sees a
-    /// drained window and queue snapshots that are mutually
-    /// consistent, with no lock on the primitives' hot path beyond the
-    /// state lock they already take.
+    /// checkpoint holding the guards of all live monitors takes a
+    /// window and queue snapshots that are mutually consistent, with
+    /// no lock on the primitives' hot path beyond the state lock they
+    /// already take. Window and snapshots stay consistent after the
+    /// guard drops — they are values — which is why the barrier may
+    /// drop it before checking them (`RtInner::barrier`).
     pub(crate) fn suspend(&self) -> FastMutexGuard<'_, RawState> {
         self.state.lock()
     }

@@ -16,11 +16,19 @@
 //!   published to the drain side with release/acquire stores on each
 //!   chunk's length (the classic single-producer publication protocol
 //!   of low-overhead tracers);
-//! * [`Recorder::drain_window`] k-way merges the per-thread segments by
-//!   `seq` ([`rmon_core::event::merge_by_seq`]), exploiting the fact
-//!   that every segment is internally sorted by construction, and hands
-//!   the checkpoint checkers the same globally-ordered window the
-//!   locked recorder produced.
+//! * a window leaves the recorder in two steps. [`Recorder::hand_over`]
+//!   is the part that must run while the monitors are suspended and is
+//!   O(chunks), not O(events): full chunks are unlinked from their
+//!   segment, the partially filled current chunk contributes the range
+//!   of slots published so far, and a [`Handover`] holds the lot.
+//!   [`Handover::merge_into`] then k-way merges the per-thread streams
+//!   by `seq` ([`rmon_core::event::merge_runs_by_seq`]) straight from
+//!   the chunk slots into a buffer the caller keeps — every segment is
+//!   internally sorted by construction, so the checkpoint checkers get
+//!   the same globally-ordered window the locked recorder produced —
+//!   and needs no lock at all: the slots it reads were final before
+//!   the hand-over returned. [`Recorder::drain_window`] is the two
+//!   steps back to back.
 //!
 //! Within one thread, events still appear in exactly the order their
 //! sequence numbers were drawn, so the per-pid FIFO precondition of the
@@ -30,7 +38,7 @@
 //! shared staging buffer (see `rmon_rt::registry`).
 
 use parking_lot::Mutex;
-use rmon_core::event::merge_by_seq;
+use rmon_core::event::merge_runs_by_seq;
 use rmon_core::{Event, EventKind, MonitorId, Nanos, Pid, ProcName, VClock};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::HashMap;
@@ -53,25 +61,36 @@ static NEXT_RECORDER_TOKEN: AtomicU64 = AtomicU64::new(1);
 /// One fixed-capacity chunk of a thread segment.
 ///
 /// Single-producer publication: only the owning thread writes slots and
-/// stores `len` (release); drains load `len` (acquire) and read only
-/// slots below it. Slots below a published `len` are never written
-/// again, so the acquire load makes them safely readable.
+/// stores `len` (release); a hand-over loads `len` (acquire) and fixes
+/// a range of slots below it, which its [`Handover`] reads afterwards.
+/// Slots below a published `len` are never written again, so the
+/// acquire load makes them safely readable for as long as the chunk
+/// lives.
 struct Chunk {
     slots: Box<[UnsafeCell<MaybeUninit<Event>>]>,
     /// Published element count. Writer-only store (release).
     len: AtomicUsize,
-    /// Elements already consumed by a drain. Drainer-only, and drains
+    /// Elements already handed over. Touched by hand-overs only, which
     /// are serialized by the segment-registry lock.
     taken: AtomicUsize,
 }
 
-// SAFETY: the only `UnsafeCell` access paths are `Chunk::push` (the
-// single writer thread, slots at or above `len`) and `Chunk::drain_into`
-// (readers of slots strictly below an acquire-loaded `len`, serialized
-// by the recorder's registry lock). Writer and reader never touch the
-// same slot concurrently: a slot becomes reader-visible only through
-// the release store that also makes the writer never touch it again.
+// SAFETY: the only `UnsafeCell` access paths are `ThreadSegment::push`
+// (the single writer thread, the slot at index `len`) and
+// `ChunkRange::events` (any thread holding a `Handover`, slots
+// `[start, end)` with `end` at most a `len` that `Chunk::hand_over`
+// acquire-loaded under the registry lock — the reads themselves happen
+// *outside* that lock, possibly while the writer pushes on into the
+// same chunk). Writer and readers never touch the same slot: `len`
+// only grows, the writer only ever writes the slot at the current
+// `len`, and a slot becomes reader-visible only through the release
+// store that moves `len` past it — after which the writer never
+// touches it again. A `Handover` crossing threads is an ordinary
+// `Send` move, so whatever carries it orders the acquire load before
+// the reads. `len` and `taken` are atomics; `slots` is never resized.
 unsafe impl Sync for Chunk {}
+// SAFETY: `Event` is plain `Copy` data with no thread affinity, and a
+// chunk owns its slots.
 unsafe impl Send for Chunk {}
 
 impl Chunk {
@@ -85,24 +104,46 @@ impl Chunk {
         }
     }
 
-    /// Moves every event published since the last drain into `out`,
-    /// returning whether the chunk is exhausted (full and fully
-    /// consumed). Caller must hold the segment-registry lock.
-    fn drain_into(&self, out: &mut Vec<Event>) -> bool {
-        let n = self.len.load(Ordering::Acquire);
-        let t = self.taken.load(Ordering::Relaxed);
-        for slot in &self.slots[t..n] {
-            // SAFETY: slots below the acquire-loaded `len` are fully
-            // written and never written again.
-            out.push(unsafe { (*slot.get()).assume_init() });
+    /// Hands every slot published since the last hand-over to `out` as
+    /// one range, returning whether the chunk is exhausted (full and
+    /// fully handed over). Caller must hold the segment-registry lock.
+    fn hand_over(self: &Arc<Self>, out: &mut Vec<ChunkRange>) -> bool {
+        let end = self.len.load(Ordering::Acquire);
+        let start = self.taken.load(Ordering::Relaxed);
+        if start < end {
+            out.push(ChunkRange { chunk: Arc::clone(self), start, end });
+            self.taken.store(end, Ordering::Relaxed);
         }
-        self.taken.store(n, Ordering::Relaxed);
-        n == CHUNK_EVENTS
+        end == CHUNK_EVENTS
     }
 
-    /// Published-but-undrained events.
+    /// Published events no hand-over has taken yet.
     fn pending(&self) -> usize {
         self.len.load(Ordering::Acquire) - self.taken.load(Ordering::Relaxed)
+    }
+}
+
+/// Slots `[start, end)` of one chunk, fixed by [`Chunk::hand_over`]:
+/// `end` is at most a `len` it acquire-loaded. The `Arc` keeps the
+/// chunk alive after its segment has unlinked it.
+#[derive(Debug)]
+struct ChunkRange {
+    chunk: Arc<Chunk>,
+    start: usize,
+    end: usize,
+}
+
+impl ChunkRange {
+    fn events(&self) -> &[Event] {
+        let slots = &self.chunk.slots[self.start..self.end];
+        // SAFETY: every slot below the acquire-loaded `len` this range
+        // was cut from is initialized and never written again (see the
+        // `Sync` argument on `Chunk`), so a shared slice over them is
+        // valid for as long as `self` keeps the chunk alive — also
+        // while the writer fills slots at or above `end`, which this
+        // slice does not cover. `UnsafeCell` and `MaybeUninit` are both
+        // `repr(transparent)`, so the slots are laid out as `Event`s.
+        unsafe { std::slice::from_raw_parts(slots.as_ptr().cast::<Event>(), slots.len()) }
     }
 }
 
@@ -130,8 +171,12 @@ struct SegmentShared {
 }
 
 impl SegmentShared {
-    fn drain_into(&self, out: &mut Vec<Event>) {
-        self.chunks.lock().retain(|chunk| !chunk.drain_into(out));
+    /// Hands this segment's published events over as chunk ranges in
+    /// stream order, unlinking exhausted chunks.
+    fn hand_over(&self) -> Vec<ChunkRange> {
+        let mut stream = Vec::new();
+        self.chunks.lock().retain(|chunk| !chunk.hand_over(&mut stream));
+        stream
     }
 
     fn pending(&self) -> usize {
@@ -139,7 +184,7 @@ impl SegmentShared {
     }
 
     /// Whether the segment can never produce another event and has
-    /// nothing left to drain. The acquire load of `writer_closed`
+    /// nothing left to hand over. The acquire load of `writer_closed`
     /// orders the subsequent `pending` check after the writer's final
     /// publication.
     fn exhausted(&self) -> bool {
@@ -491,7 +536,7 @@ impl Recorder {
     /// path pays one thread-local lookup for both. Both caches hand
     /// out segments from the same registry, and extra segments per
     /// thread are sound by construction (any single-writer segment
-    /// is; the drain merge restores the global order).
+    /// is; the window merge restores the global order).
     pub fn record(
         &self,
         monitor: MonitorId,
@@ -512,29 +557,40 @@ impl Recorder {
         })
     }
 
-    /// Drains the current checking window: takes every event published
-    /// since the last drain, k-way merged back into global `seq` order.
+    /// Takes the current checking window out of the recorder without
+    /// copying an event: every event published since the last hand-over
+    /// now belongs to the returned [`Handover`] and to no later one.
+    /// This is the step a checkpoint runs while monitors are suspended;
+    /// it costs one pointer move per chunk (1024 events).
     ///
-    /// Concurrent drains are serialized on the segment registry; a
-    /// drain concurrent with recording takes a prefix of each thread's
-    /// stream (per-pid order is preserved — a thread's remaining events
-    /// all carry higher sequence numbers and land in the next window).
-    pub fn drain_window(&self) -> Vec<Event> {
+    /// Concurrent hand-overs are serialized on the segment registry; a
+    /// hand-over concurrent with recording takes a prefix of each
+    /// thread's stream (per-pid order is preserved — a thread's
+    /// remaining events all carry higher sequence numbers and land in
+    /// the next window).
+    pub fn hand_over(&self) -> Handover {
         let mut segments = self.shared.segments.lock();
-        let mut streams: Vec<Vec<Event>> = Vec::with_capacity(segments.len());
+        let mut streams = Vec::with_capacity(segments.len());
         segments.retain(|seg| {
-            let mut stream = Vec::new();
-            seg.drain_into(&mut stream);
+            let stream = seg.hand_over();
             if !stream.is_empty() {
                 streams.push(stream);
             }
             // Prune segments whose writer handle is gone (thread exited
-            // or runtime state pruned) once nothing is left to drain;
+            // or runtime state pruned) once nothing is left to take;
             // `exhausted` orders the emptiness check after the writer's
             // final publication.
             !seg.exhausted()
         });
-        merge_by_seq(streams)
+        Handover { streams }
+    }
+
+    /// Drains the current checking window: [`Self::hand_over`] and
+    /// [`Handover::merge_into`] a fresh buffer, back to back.
+    pub fn drain_window(&self) -> Vec<Event> {
+        let mut window = Vec::new();
+        self.hand_over().merge_into(&mut window);
+        window
     }
 
     /// Total events recorded (sequence numbers issued).
@@ -545,6 +601,38 @@ impl Recorder {
     /// Buffered (undrained) events across all thread segments.
     pub fn pending(&self) -> usize {
         self.shared.segments.lock().iter().map(|s| s.pending()).sum()
+    }
+}
+
+/// One checking window as it left the recorder
+/// ([`Recorder::hand_over`]): per recording thread, the chunk ranges
+/// holding its events, not yet merged. The contents are fixed — threads
+/// that keep recording, even into a chunk this window shares, add
+/// nothing to it and change nothing in it — so it can be merged at
+/// leisure, on any thread. Dropping it unmerged discards the window.
+#[derive(Debug)]
+pub struct Handover {
+    /// Non-empty streams of non-empty ranges.
+    streams: Vec<Vec<ChunkRange>>,
+}
+
+impl Handover {
+    /// Events in the window.
+    pub fn len(&self) -> usize {
+        self.streams.iter().flatten().map(|range| range.end - range.start).sum()
+    }
+
+    /// Whether the window holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.streams.is_empty()
+    }
+
+    /// Appends the window to `out`, k-way merged into global `seq`
+    /// order, each event copied once from its chunk slot; the chunks
+    /// are freed on return.
+    pub fn merge_into(self, out: &mut Vec<Event>) {
+        out.reserve(self.len());
+        merge_runs_by_seq(self.streams.iter().map(|s| s.iter().map(ChunkRange::events)), out);
     }
 }
 
@@ -673,5 +761,152 @@ mod tests {
         assert_eq!(r.drain_window().len(), 1);
         // And its now-empty segment must have been pruned.
         assert_eq!(r.shared.segments.lock().len(), 0);
+    }
+
+    /// The drain this module had before hand-over, kept as the
+    /// reference: copy event by event out of every chunk under the
+    /// registry lock, then merge the copies.
+    fn drain_per_event(r: &Recorder) -> Vec<Event> {
+        let mut segments = r.shared.segments.lock();
+        let mut streams = Vec::new();
+        segments.retain(|seg| {
+            let mut stream = Vec::new();
+            seg.chunks.lock().retain(|chunk| {
+                let n = chunk.len.load(Ordering::Acquire);
+                let t = chunk.taken.load(Ordering::Relaxed);
+                for slot in &chunk.slots[t..n] {
+                    // SAFETY: slots below the acquire-loaded `len` are
+                    // fully written and never written again.
+                    stream.push(unsafe { (*slot.get()).assume_init() });
+                }
+                chunk.taken.store(n, Ordering::Relaxed);
+                n != CHUNK_EVENTS
+            });
+            if !stream.is_empty() {
+                streams.push(stream);
+            }
+            !seg.exhausted()
+        });
+        rmon_core::event::merge_by_seq(streams)
+    }
+
+    fn push_one(r: &Recorder, segment: &mut ThreadSegment, pid: u32) -> Event {
+        r.record_on(
+            segment,
+            MonitorId::new(pid % 3),
+            Pid::new(pid),
+            ProcName::new(0),
+            EventKind::Enter { granted: true },
+        )
+    }
+
+    #[test]
+    fn hand_over_and_merge_equal_the_per_event_drain() {
+        // One deterministic script on two recorders: four writers (as
+        // segments, so one thread can interleave them exactly), runs of
+        // pushes long enough to roll chunks over, windows taken at
+        // irregular points — mid-chunk, on a chunk boundary, twice in a
+        // row — and writers closing mid-stream. Window by window the
+        // two drains must agree on events and on what is left behind.
+        let new = Recorder::new();
+        let old = Recorder::new();
+        let mut new_segs: Vec<_> = (0..4).map(|_| Some(new.new_thread_segment())).collect();
+        let mut old_segs: Vec<_> = (0..4).map(|_| Some(old.new_thread_segment())).collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        let (mut windows, mut events) = (0, 0);
+        for step in 0..400 {
+            let writer = next(4) as usize;
+            // Exactly one chunk now and then, so a window ends on the
+            // boundary with the writer not yet rolled over.
+            let burst = if step % 7 == 0 { CHUNK_EVENTS } else { next(700) as usize };
+            if let (Some(n), Some(o)) = (&mut new_segs[writer], &mut old_segs[writer]) {
+                for _ in 0..burst {
+                    let a = push_one(&new, n, writer as u32);
+                    let b = push_one(&old, o, writer as u32);
+                    assert_eq!(a.seq, b.seq);
+                }
+            }
+            if step == 150 || step == 300 {
+                // A writer exits: its segment drains, then is pruned.
+                new_segs[step / 150] = None;
+                old_segs[step / 150] = None;
+            }
+            for _ in 0..next(3) {
+                let mut got = Vec::new();
+                new.hand_over().merge_into(&mut got);
+                let want = drain_per_event(&old);
+                let key = |w: &[Event]| w.iter().map(|e| (e.seq, e.pid)).collect::<Vec<_>>();
+                assert_eq!(key(&got), key(&want), "window {windows}");
+                assert_eq!(new.pending(), old.pending());
+                assert_eq!(new.shared.segments.lock().len(), old.shared.segments.lock().len());
+                windows += 1;
+                events += got.len();
+            }
+        }
+        assert_eq!(new.pending() + events, new.total() as usize);
+        assert!(windows > 100 && events > 50 * CHUNK_EVENTS, "{windows} windows, {events} events");
+        assert_eq!(new.shared.segments.lock().len(), 2, "two writers closed, two live");
+    }
+
+    #[test]
+    fn one_chunk_handed_over_partially_twice() {
+        let r = Recorder::new();
+        let mut seg = r.new_thread_segment();
+        for _ in 0..10 {
+            push_one(&r, &mut seg, 1);
+        }
+        let first = r.hand_over();
+        for _ in 0..5 {
+            push_one(&r, &mut seg, 1);
+        }
+        let second = r.hand_over();
+        assert!(r.hand_over().is_empty(), "nothing published since");
+        assert_eq!((first.len(), second.len()), (10, 5));
+        assert!(
+            Arc::ptr_eq(&first.streams[0][0].chunk, &second.streams[0][0].chunk),
+            "both windows are ranges of the writer's current chunk"
+        );
+        // Merged out of order, and both into one buffer: each holds
+        // exactly its own range.
+        let mut out = Vec::new();
+        second.merge_into(&mut out);
+        first.merge_into(&mut out);
+        let seqs: Vec<u64> = out.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (11..=15).chain(1..=10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_window_is_fixed_once_handed_over() {
+        // The writer pushes on — into the very chunk the window shares,
+        // then past its end — before the window is read.
+        let r = Recorder::new();
+        let mut seg = r.new_thread_segment();
+        for _ in 0..10 {
+            push_one(&r, &mut seg, 1);
+        }
+        let window = r.hand_over();
+        for _ in 0..2 * CHUNK_EVENTS {
+            push_one(&r, &mut seg, 1);
+        }
+        let mut out = Vec::new();
+        window.merge_into(&mut out);
+        assert_eq!(out.iter().map(|e| e.seq).collect::<Vec<u64>>(), (1..=10).collect::<Vec<u64>>());
+        // And the rest is all there for the next window, across the
+        // shared chunk's remainder, a full chunk and a partial one.
+        let rest = r.drain_window();
+        assert_eq!(rest.len(), 2 * CHUNK_EVENTS);
+        assert_eq!(rest[0].seq, 11);
+        assert!(rest.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+        // A window dropped unmerged is gone, not re-delivered.
+        push_one(&r, &mut seg, 1);
+        drop(r.hand_over());
+        assert_eq!(r.pending(), 0);
+        assert!(r.drain_window().is_empty());
     }
 }

@@ -1,10 +1,40 @@
 //! The robust-monitor runtime: shared recorder, pluggable detection
-//! backend, snapshot registry and the checkpoint suspension protocol
-//! (the paper: *"upon detection, all other running processes are
-//! suspended and are resumed only after the checking has finished"* —
-//! realized by holding every live monitor's state lock for the
-//! duration of the check, so the hot path pays no extra lock; see
-//! [`RawCore::suspend`]).
+//! backend, snapshot registry and the checkpoint suspension protocol.
+//!
+//! # The checkpoint barrier: gather under suspension, check after
+//!
+//! The paper's prototype suspends every process at a checkpoint and
+//! resumes them *"only after the checking has finished"*. What that
+//! pause protects is the checker's input — the window of events and the
+//! queue snapshots must describe one instant — and Algorithms 1–2 read
+//! nothing else. So the barrier (`RtInner::barrier`, behind
+//! [`Runtime::checkpoint_now`] and the journaled
+//! [`Runtime::checkpoint_scope`]) splits in two:
+//!
+//! 1. **Gather**, with every in-scope monitor's state lock held
+//!    ([`RawCore::suspend`]; the primitives record under that lock, so
+//!    the hot path pays no extra one): read the clock, take the window
+//!    out of the recorder ([`Recorder::hand_over`] — a pointer move per
+//!    chunk, no event is copied), snapshot the queues.
+//! 2. **Check**, on the fixed window and the fixed snapshots: merge the
+//!    window by `seq` into a buffer the runtime keeps between
+//!    checkpoints, run [`DetectionBackend::checkpoint_window`], collect
+//!    verdicts, journal.
+//!
+//! A monitor whose events reach the backend *only* through windows (no
+//! calling-order concerns: `RawCore::streams_realtime` is false) is
+//! released between the two steps; whatever it does next lands in the
+//! next window and cannot touch this one. A monitor that **streams in
+//! real time** keeps the paper's full pause: its events also enter the
+//! backend's pending list as they are recorded, and one recorded after
+//! the snapshot could be replayed before the comparison and fabricate
+//! a mismatch. Its guard drops when the check returns.
+//!
+//! Two barriers are serialized by one checkpoint lock, taken *before*
+//! suspending and held through the check, so windows reach the backend
+//! in the order they left the recorder (lock order: checkpoint lock,
+//! then monitor guards by ascending id). How long guards were actually
+//! held is counted in [`Runtime::pause_stats`].
 //!
 //! Detection is behind the [`DetectionBackend`] trait: the runtime
 //! holds an `Arc<dyn DetectionBackend>` and each observing thread
@@ -30,7 +60,7 @@ use rmon_core::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What to do when a real-time calling-order check flags a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,14 +126,100 @@ pub(crate) struct RtInner {
     /// path; the recorder's in-memory window is the staging area.
     event_sink: Option<Arc<dyn EventSink>>,
     violation_sink: Option<Arc<dyn ViolationSink>>,
-    /// Journal commit state. The mutex also serializes checkpoint
-    /// commit sequences, so two concurrent barriers cannot interleave
-    /// their `Events → Realtime → Checkpoint` records.
-    journal: Mutex<JournalState>,
+    /// The checkpoint lock (see the module docs): held from before the
+    /// monitors are suspended until the window is checked and
+    /// journaled, so windows reach the backend — and `Events → Realtime
+    /// → Checkpoint` sequences the journal — in hand-over order. It
+    /// guards what only a barrier touches.
+    barrier: Mutex<BarrierState>,
+    pause: PauseCounters,
     /// Journal appends that failed (disk errors). Detection itself
     /// never blocks or panics on a failing journal; operators watch
     /// this counter ([`Runtime::journal_errors`]).
     journal_errors: AtomicU64,
+}
+
+/// What one barrier at a time works with, behind the checkpoint lock.
+#[derive(Debug, Default)]
+struct BarrierState {
+    /// The merged window, kept between checkpoints so a steady stream
+    /// of windows reuses one mapping; see [`recycle_window`] for when
+    /// it shrinks.
+    window: Vec<Event>,
+    journal: JournalState,
+}
+
+/// Makes room in the kept (and empty) window buffer for `need` events.
+/// A buffer that is too small is replaced, not grown: a growing `Vec`
+/// copies its whole old allocation, and nothing in this one is live.
+/// The replacement has room for twice the need — address space, not
+/// memory, until it is written — so a checker that fell a little
+/// behind, and finds its next window a little larger, faults in only
+/// the pages past its high-water mark instead of a whole new buffer,
+/// which would put it further behind.
+fn make_room(window: &mut Vec<Event>, need: usize) {
+    debug_assert!(window.is_empty(), "recycled after every checkpoint");
+    if window.capacity() < need {
+        *window = Vec::with_capacity(2 * need);
+    }
+}
+
+/// Empties the kept window buffer after a checkpoint. Keeping it is
+/// what spares the next window a fresh mapping and a page fault per
+/// 4 KiB written; but one exceptional window must not pin its size
+/// forever, so the buffer is given back once a window fills less than
+/// an eighth of it — a quarter of what [`make_room`] sized it for, far
+/// enough under half that windows of a steady size, or alternating
+/// within a factor of two, never reallocate.
+fn recycle_window(window: &mut Vec<Event>) {
+    if window.len() < window.capacity() / 8 {
+        *window = Vec::new();
+    } else {
+        window.clear();
+    }
+}
+
+/// For how long checkpoints held monitor guards — see
+/// [`Runtime::pause_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PauseStats {
+    /// Checkpoints that suspended monitors.
+    pub checkpoints: u64,
+    /// The most recent pause, in nanoseconds.
+    pub last_ns: u64,
+    /// The longest pause so far.
+    pub max_ns: u64,
+    /// All pauses added up.
+    pub total_ns: u64,
+}
+
+/// The live side of [`PauseStats`]. Statistics only — they publish no
+/// other data — so every access is relaxed.
+#[derive(Debug, Default)]
+struct PauseCounters {
+    checkpoints: AtomicU64,
+    last_ns: AtomicU64,
+    max_ns: AtomicU64,
+    total_ns: AtomicU64,
+}
+
+impl PauseCounters {
+    fn record(&self, pause: Duration) {
+        let ns = pause.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.last_ns.store(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.total_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> PauseStats {
+        PauseStats {
+            checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            last_ns: self.last_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns.load(Ordering::Relaxed),
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Bookkeeping for the journal's commit protocol. A verdict may only be
@@ -132,19 +248,22 @@ struct JournalState {
 }
 
 impl JournalState {
-    /// Folds a freshly committed window into the frontier.
+    /// Folds a freshly committed window (sorted by `seq`, as every
+    /// merged window is) into the frontier: one pass, in which an
+    /// event at or below the frontier fills a gap and a jump past the
+    /// next expected `seq` opens one.
     fn commit_window(&mut self, events: &[Event]) {
-        let Some(max) = events.iter().map(|e| e.seq).max() else { return };
-        let seen: std::collections::HashSet<u64> = events.iter().map(|e| e.seq).collect();
-        for s in &seen {
-            self.gaps.remove(s);
-        }
-        for s in self.seq_high + 1..=max {
-            if !seen.contains(&s) {
-                self.gaps.insert(s);
+        debug_assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "window sorted by seq");
+        let mut expected = self.seq_high + 1;
+        for e in events {
+            if e.seq < expected {
+                self.gaps.remove(&e.seq);
+            } else {
+                self.gaps.extend(expected..e.seq);
+                expected = e.seq + 1;
             }
         }
-        self.seq_high = self.seq_high.max(max);
+        self.seq_high = expected - 1;
     }
 
     /// Whether a verdict's cause is in a committed window (verdicts
@@ -343,6 +462,7 @@ impl RtInner {
     /// the §3.3 checking lists exist precisely to avoid this cost.
     pub(crate) fn checkpoint_full_history(&self, history: &mut Vec<Event>) -> u64 {
         let monitors = self.live_monitors();
+        let suspended = Instant::now();
         let guards: Vec<_> = monitors.iter().map(|core| core.suspend()).collect();
         let now = self.recorder.now();
         history.extend(self.recorder.drain_window());
@@ -365,57 +485,33 @@ impl RtInner {
                 self.realtime.lock().extend(violations);
             }
         }
+        drop(guards);
+        self.pause.record(suspended.elapsed());
         checked
     }
 
-    /// Runs one checkpoint: suspends monitor operations (by holding
-    /// every live monitor's state lock — see [`RawCore::suspend`]),
-    /// drains the window, snapshots every suspended monitor, and
-    /// invokes the periodic checking routine on the backend. Monitors
-    /// created *while* the checkpoint runs are not suspended by it;
-    /// their events simply land in the next window.
+    /// Runs one checkpoint barrier over the monitors in `scope` — the
+    /// one protocol behind [`Runtime::checkpoint_now`]
+    /// ([`CheckpointScope::All`]) and the journaled
+    /// [`Runtime::checkpoint_scope`]; the module docs have the why.
+    ///
+    /// Only in-scope monitors are suspended and snapshotted (scope
+    /// resolution maps monitors to shards through
+    /// [`DetectionBackend::shard_of`]), but the recorder window is
+    /// always taken in full: the journal's commit protocol tracks one
+    /// global committed frontier, so a narrower window would poke
+    /// permanent holes in it, and the backend deduplicates by
+    /// watermark anyway. Monitors created *while* the barrier runs are
+    /// not suspended by it; their events simply land in the next
+    /// window.
     ///
     /// Events still buffered in *other* threads' producer handles are
-    /// not lost: the drained window contains them (the recorder is the
-    /// source of truth) and the backend's per-caller watermarks
-    /// deduplicate their eventual arrival.
-    pub(crate) fn checkpoint_now(&self) -> FaultReport {
-        let monitors = self.live_monitors();
-        let guards: Vec<_> = monitors.iter().map(|core| core.suspend()).collect();
-        let now = self.recorder.now();
-        let events = self.recorder.drain_window();
-        let mut snaps = HashMap::new();
-        for (core, guard) in monitors.iter().zip(&guards) {
-            snaps.insert(core.id(), RawCore::snapshot_of(guard));
-        }
-        self.flush_thread_producer();
-        let report = self.backend.checkpoint_window(now, &events, &snaps);
-        // Monitor operations stay suspended until the checking has
-        // finished (the paper's protocol); release them now.
-        drop(guards);
-        // Real-time violations found by the backend up to the
-        // checkpoint barrier land in the runtime's list now.
-        let vs = self.backend.drain_violations();
-        if !vs.is_empty() {
-            self.realtime.lock().extend(vs);
-        }
-        self.reports.lock().push(report.clone());
-        self.journal_checkpoint(now, &events, &snaps, &report);
-        report
-    }
-
-    /// The journaled form of a scoped checkpoint: a **scoped barrier**.
-    /// Only the in-scope monitors are suspended and snapshotted
-    /// (scope resolution maps monitors to shards through
-    /// [`DetectionBackend::shard_of`]), but the recorder window is
-    /// drained in full — the journal's commit protocol tracks one
-    /// global committed frontier, so narrowing the drain would poke
-    /// permanent holes in it. The drained window, scoped snapshots and
-    /// report then journal through the same `Events → Realtime →
-    /// Checkpoint` commit sequence as [`RtInner::checkpoint_now`],
-    /// which is what keeps the differential replayer oblivious to
-    /// which scope produced a checkpoint record.
-    pub(crate) fn checkpoint_scope_journaled(&self, scope: CheckpointScope) -> FaultReport {
+    /// not lost: the window contains them (the recorder is the source
+    /// of truth) and the backend's per-caller watermarks deduplicate
+    /// their eventual arrival.
+    pub(crate) fn barrier(&self, scope: CheckpointScope) -> FaultReport {
+        let mut barrier = self.barrier.lock();
+        let BarrierState { window, journal } = &mut *barrier;
         let in_scope: Vec<Arc<RawCore>> = self
             .live_monitors()
             .into_iter()
@@ -425,22 +521,54 @@ impl RtInner {
                 CheckpointScope::Shard(s) => self.backend.shard_of(core.id()) == s,
             })
             .collect();
-        let guards: Vec<_> = in_scope.iter().map(|core| core.suspend()).collect();
+
+        // Gather, under suspension. The pause runs from the moment the
+        // first monitor is held: waiting for that guard stops nobody.
+        let mut suspended = None;
+        let guards: Vec<_> = in_scope
+            .iter()
+            .map(|core| {
+                let guard = core.suspend();
+                suspended.get_or_insert_with(Instant::now);
+                guard
+            })
+            .collect();
         let now = self.recorder.now();
-        let events = self.recorder.drain_window();
+        let handover = self.recorder.hand_over();
         let mut snaps = HashMap::new();
         for (core, guard) in in_scope.iter().zip(&guards) {
             snaps.insert(core.id(), RawCore::snapshot_of(guard));
         }
+        // Monitors that reach the backend only through windows resume
+        // here; the ones that stream in real time stay suspended until
+        // the check has finished (the paper's protocol — see the
+        // module docs for what a post-snapshot event of theirs would
+        // do to the comparison).
+        let held: Vec<_> = in_scope
+            .iter()
+            .zip(guards)
+            .filter_map(|(core, guard)| core.streams_realtime().then_some(guard))
+            .collect();
+        let resumed_early = suspended.filter(|_| held.is_empty()).map(|since| since.elapsed());
+
+        // Check, on the fixed window and snapshots.
+        make_room(window, handover.len());
+        handover.merge_into(window);
         self.flush_thread_producer();
-        let report = self.backend.checkpoint_window(now, &events, &snaps);
-        drop(guards);
+        let report = self.backend.checkpoint_window(now, window, &snaps);
+        drop(held);
+        if let Some(since) = suspended {
+            self.pause.record(resumed_early.unwrap_or_else(|| since.elapsed()));
+        }
+        // Real-time violations found by the backend up to the
+        // checkpoint barrier land in the runtime's list now.
         let vs = self.backend.drain_violations();
         if !vs.is_empty() {
             self.realtime.lock().extend(vs);
         }
         self.reports.lock().push(report.clone());
-        self.journal_checkpoint(now, &events, &snaps, &report);
+        self.journal_checkpoint(journal, now, window, &snaps, &report);
+        recycle_window(window);
         report
     }
 
@@ -453,6 +581,7 @@ impl RtInner {
     /// stages nothing for them anyway).
     fn journal_checkpoint(
         &self,
+        journal: &mut JournalState,
         now: Nanos,
         events: &[Event],
         snaps: &HashMap<MonitorId, MonitorState>,
@@ -461,7 +590,6 @@ impl RtInner {
         if self.event_sink.is_none() && self.violation_sink.is_none() {
             return;
         }
-        let mut journal = self.journal.lock();
         if let Some(sink) = &self.event_sink {
             if !events.is_empty() {
                 self.journal_try(sink.append_events(events));
@@ -604,15 +732,44 @@ impl Runtime {
         self.inner.order_policy
     }
 
-    /// Runs the periodic checking routine once, right now (suspending
-    /// monitor operations for the duration, as the paper's prototype
-    /// does): drains the recorded window, snapshots every suspended
-    /// monitor and routes both through
-    /// [`DetectionBackend::checkpoint_window`] — the synchronous
-    /// full-fidelity barrier. For the asynchronous, no-pause variant
-    /// see [`Self::checkpoint_scope`].
+    /// Runs the periodic checking routine once, right now: the
+    /// synchronous full-fidelity barrier. Every live monitor is
+    /// suspended while the checker's input is *gathered* — the recorded
+    /// window leaves the recorder (chunk by chunk, nothing is copied)
+    /// and every monitor's queues are snapshotted, a matter of
+    /// microseconds — and the gathered window and snapshots then go
+    /// through [`DetectionBackend::checkpoint_window`]. The call
+    /// returns when the check has, with its report.
+    ///
+    /// The paper's prototype keeps every process suspended until the
+    /// check has finished. Here that holds for monitors that stream
+    /// their events to the backend in real time (a declared call
+    /// order, or Request/Release procedures — [`ResourceAllocator`](crate::ResourceAllocator)):
+    /// their operations block until this call's check returns. All
+    /// other monitors ([`BoundedBuffer`](crate::BoundedBuffer),
+    /// [`OperationCell`](crate::OperationCell), plain
+    /// [`Monitor`](crate::Monitor)s) resume as soon as the gathering is
+    /// done and run *concurrently* with the check: it reads only the
+    /// fixed window and snapshots, so the verdicts are the same and
+    /// the application does not stand still for them (the module docs
+    /// have the argument; [`Self::pause_stats`] has the measured
+    /// pause). Concurrent calls are serialized: windows are checked in
+    /// the order they were gathered.
+    ///
+    /// For the asynchronous, no-pause variant see
+    /// [`Self::checkpoint_scope`].
     pub fn checkpoint_now(&self) -> FaultReport {
-        self.inner.checkpoint_now()
+        self.inner.barrier(CheckpointScope::All)
+    }
+
+    /// For how long checkpoints have kept monitors suspended: per
+    /// barrier, the time from taking the first monitor guard to
+    /// dropping the last — the gathering alone when no suspended
+    /// monitor streams in real time, the gathering plus the whole check
+    /// when one does (see [`Self::checkpoint_now`]). This, not the wall
+    /// time of `checkpoint_now()`, is what the application waited.
+    pub fn pause_stats(&self) -> PauseStats {
+        self.inner.pause.snapshot()
     }
 
     /// Runs a **scoped**, provider-backed checkpoint through
@@ -630,14 +787,14 @@ impl Runtime {
     ///
     /// With a journal installed ([`RuntimeBuilder::journal`] or either
     /// sink), scoped checkpoints **commit**: the call becomes a scoped
-    /// barrier that suspends only the in-scope monitors, drains the
-    /// full recorder window and journals the same `Events → Realtime →
-    /// Checkpoint` sequence as [`Self::checkpoint_now`] — previously
-    /// only the global barrier journaled, so a crash between scoped
-    /// checkpoints lost their windows.
+    /// barrier — [`Self::checkpoint_now`]'s protocol, suspending and
+    /// snapshotting only the in-scope monitors — that takes the full
+    /// recorder window and journals the same `Events → Realtime →
+    /// Checkpoint` sequence, so a crash between scoped checkpoints
+    /// loses none of their windows.
     pub fn checkpoint_scope(&self, scope: CheckpointScope) -> FaultReport {
         if self.inner.event_sink.is_some() || self.inner.violation_sink.is_some() {
-            return self.inner.checkpoint_scope_journaled(scope);
+            return self.inner.barrier(scope);
         }
         self.inner.flush_thread_producer();
         let now = self.inner.recorder.now();
@@ -869,7 +1026,8 @@ impl RuntimeBuilder {
                 realtime: Mutex::new(Vec::new()),
                 event_sink: self.event_sink,
                 violation_sink: self.violation_sink,
-                journal: Mutex::new(JournalState::default()),
+                barrier: Mutex::new(BarrierState::default()),
+                pause: PauseCounters::default(),
                 journal_errors: AtomicU64::new(0),
             }),
         };
@@ -1276,6 +1434,99 @@ mod tests {
         let records = sink.records();
         assert!(matches!(records.last().unwrap(), Record::Checkpoint { .. }));
         assert_eq!(records.len(), 6);
+    }
+
+    /// `commit_window` as it was: every `seq` of the window into a
+    /// `HashSet`, every `seq` up to the new frontier probed in it.
+    fn commit_window_by_set(journal: &mut JournalState, events: &[Event]) {
+        let Some(max) = events.iter().map(|e| e.seq).max() else { return };
+        let seen: std::collections::HashSet<u64> = events.iter().map(|e| e.seq).collect();
+        for s in &seen {
+            journal.gaps.remove(s);
+        }
+        for s in journal.seq_high + 1..=max {
+            if !seen.contains(&s) {
+                journal.gaps.insert(s);
+            }
+        }
+        journal.seq_high = journal.seq_high.max(max);
+    }
+
+    #[test]
+    fn commit_window_scan_equals_the_set_it_replaced() {
+        let window = |seqs: &[u64]| -> Vec<Event> {
+            seqs.iter()
+                .map(|&s| {
+                    Event::terminate(
+                        s,
+                        Nanos::new(s),
+                        MonitorId::new(0),
+                        Pid::new(1),
+                        ProcName::new(0),
+                    )
+                })
+                .collect()
+        };
+        // Windows with holes, late fills (alone, and ahead of fresh
+        // events), an empty window, a fill of a seq that was never a
+        // gap, and a first window that does not start at 1.
+        let script: [&[u64]; 9] = [
+            &[3, 4, 7],
+            &[],
+            &[1, 8, 9, 12],
+            &[2, 5],
+            &[6, 10, 11, 13, 14],
+            &[4],
+            &[20],
+            &[15, 16, 17, 18, 19, 21],
+            &[],
+        ];
+        let (mut scan, mut set) = (JournalState::default(), JournalState::default());
+        for seqs in script {
+            let events = window(seqs);
+            scan.commit_window(&events);
+            commit_window_by_set(&mut set, &events);
+            assert_eq!((scan.seq_high, &scan.gaps), (set.seq_high, &set.gaps), "after {seqs:?}");
+        }
+        assert_eq!(scan.seq_high, 21);
+        assert!(scan.gaps.is_empty(), "every hole was filled: {:?}", scan.gaps);
+        // Mid-script the frontier did hold gaps, and verdicts on them
+        // were held back.
+        let mut j = JournalState::default();
+        j.commit_window(&window(&[3, 4, 7]));
+        assert_eq!(j.gaps.iter().copied().collect::<Vec<_>>(), [1, 2, 5, 6]);
+        assert_eq!(j.seq_high, 7);
+    }
+
+    #[test]
+    fn the_window_buffer_is_kept_while_used_and_given_back_after_a_one_off() {
+        let e =
+            Event::terminate(1, Nanos::new(1), MonitorId::new(0), Pid::new(1), ProcName::new(0));
+        let mut window = Vec::new();
+        make_room(&mut window, 1000);
+        let cap = window.capacity();
+        assert!(cap >= 2000, "room for a window a little larger next time");
+        for used in [1000, 2000, 500, 1000, cap / 8] {
+            make_room(&mut window, used);
+            window.resize(used, e);
+            recycle_window(&mut window);
+            assert!(window.is_empty());
+            assert_eq!(window.capacity(), cap, "a window of {used} keeps the buffer");
+        }
+        // One exceptional window, then business as usual: the big
+        // buffer goes with the first ordinary window.
+        make_room(&mut window, 10 * cap);
+        window.resize(10 * cap, e);
+        recycle_window(&mut window);
+        assert!(window.capacity() >= 10 * cap);
+        make_room(&mut window, 1000);
+        window.resize(1000, e);
+        recycle_window(&mut window);
+        assert_eq!(window.capacity(), 0, "the one-off's buffer is not pinned");
+        // An idle runtime holds nothing.
+        make_room(&mut window, 1000);
+        recycle_window(&mut window);
+        assert_eq!(window.capacity(), 0);
     }
 
     #[test]

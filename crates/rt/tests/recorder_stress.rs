@@ -4,19 +4,75 @@
 //! across window boundaries, (b) zero lost or duplicated events after
 //! the drain merges, and (c) violation sequences identical to a
 //! globally-locked reference recorder fed the same logical trace.
+//!
+//! Every scenario runs twice: windows taken with
+//! [`Recorder::drain_window`], and windows taken with
+//! [`Recorder::hand_over`] and merged only after every producer has
+//! finished — each [`Handover`] read long after its writers pushed on
+//! into the chunks it shares with them, which is what a checkpoint
+//! that resumes the monitors before it merges does.
 
 use rmon_core::detect::Detector;
 use rmon_core::{
     DetectorConfig, Event, EventKind, MonitorId, MonitorSpec, Nanos, Pid, ProcName, RuleId, VClock,
 };
-use rmon_rt::Recorder;
+use rmon_rt::{Handover, Recorder};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 const THREADS: u32 = 4;
 const MONITORS: u32 = 6;
 const ROUNDS: u32 = 200;
+
+/// How a scenario takes its windows out of the recorder.
+#[derive(Clone, Copy, Debug)]
+enum Take {
+    /// Hand-over and merge back to back.
+    Drained,
+    /// Hand-over now, merge when the producers are done.
+    HandedOver,
+}
+
+/// The windows a scenario took, in order, merged or not yet.
+#[derive(Default)]
+struct Taken {
+    merged: Vec<Vec<Event>>,
+    deferred: Vec<Handover>,
+}
+
+impl Taken {
+    fn take(&mut self, recorder: &Recorder, how: Take) {
+        match how {
+            Take::Drained => {
+                let window = recorder.drain_window();
+                if !window.is_empty() {
+                    self.merged.push(window);
+                }
+            }
+            Take::HandedOver => {
+                let window = recorder.hand_over();
+                if !window.is_empty() {
+                    self.deferred.push(window);
+                }
+            }
+        }
+    }
+
+    /// Every window in the order taken (a scenario uses one mode, so
+    /// at most one of the two lists is populated).
+    fn into_windows(self) -> Vec<Vec<Event>> {
+        let mut windows = self.merged;
+        for handover in self.deferred {
+            let mut window = Vec::new();
+            let len = handover.len();
+            handover.merge_into(&mut window);
+            assert_eq!(window.len(), len, "a hand-over knows its size");
+            windows.push(window);
+        }
+        windows
+    }
+}
 
 /// The allocator spec shared by every monitor in the stress fleet.
 fn allocator() -> (Arc<MonitorSpec>, ProcName, ProcName) {
@@ -132,28 +188,31 @@ fn verdicts_by_caller(events: &[Event]) -> HashMap<(MonitorId, Pid), Vec<RuleId>
 
 #[test]
 fn stress_no_lost_events_and_per_pid_monotonicity() {
+    no_lost_events_and_per_pid_monotonicity(Take::Drained);
+}
+
+#[test]
+fn stress_no_lost_events_and_per_pid_monotonicity_handed_over() {
+    no_lost_events_and_per_pid_monotonicity(Take::HandedOver);
+}
+
+fn no_lost_events_and_per_pid_monotonicity(how: Take) {
     let recorder = Arc::new(Recorder::new());
     let (_, request, release) = allocator();
     let stop = Arc::new(AtomicBool::new(false));
-    let drained = Arc::new(AtomicU64::new(0));
 
     // A concurrent drainer: windows taken mid-stream must each be
     // seq-sorted, and their union must be gapless at the end.
-    let windows: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(Vec::new()));
     let drainer = {
         let recorder = Arc::clone(&recorder);
         let stop = Arc::clone(&stop);
-        let windows = Arc::clone(&windows);
-        let drained = Arc::clone(&drained);
         std::thread::spawn(move || {
+            let mut taken = Taken::default();
             while !stop.load(Ordering::Acquire) {
-                let w = recorder.drain_window();
-                if !w.is_empty() {
-                    drained.fetch_add(w.len() as u64, Ordering::Relaxed);
-                    windows.lock().unwrap().push(w);
-                }
+                taken.take(&recorder, how);
                 std::thread::yield_now();
             }
+            taken
         })
     };
 
@@ -172,19 +231,17 @@ fn stress_no_lost_events_and_per_pid_monotonicity() {
         p.join().unwrap();
     }
     stop.store(true, Ordering::Release);
-    drainer.join().unwrap();
-    let final_window = recorder.drain_window();
+    let mut taken = drainer.join().unwrap();
+    taken.take(&recorder, how);
     let expected = u64::from(THREADS) * events_per_thread();
     assert_eq!(recorder.total(), expected);
-    assert_eq!(recorder.pending(), 0);
+    assert_eq!(recorder.pending(), 0, "{how:?}: a window taken is a window gone");
 
     let mut all: Vec<Event> = Vec::new();
-    for w in windows.lock().unwrap().iter() {
+    for w in taken.into_windows() {
         assert!(w.windows(2).all(|p| p[0].seq < p[1].seq), "each window is seq-sorted");
-        all.extend_from_slice(w);
+        all.extend_from_slice(&w);
     }
-    assert!(final_window.windows(2).all(|p| p[0].seq < p[1].seq));
-    all.extend_from_slice(&final_window);
 
     // No lost and no duplicated events: seqs are exactly 1..=expected.
     assert_eq!(all.len() as u64, expected, "drained union covers every recorded event");
@@ -216,6 +273,15 @@ fn stress_no_lost_events_and_per_pid_monotonicity() {
 /// total order is a linear extension of happens-before).
 #[test]
 fn stress_clocked_recorder_stamps_are_consistent_with_seq_order() {
+    clocked_recorder_stamps_are_consistent_with_seq_order(Take::Drained);
+}
+
+#[test]
+fn stress_clocked_recorder_stamps_are_consistent_with_seq_order_handed_over() {
+    clocked_recorder_stamps_are_consistent_with_seq_order(Take::HandedOver);
+}
+
+fn clocked_recorder_stamps_are_consistent_with_seq_order(how: Take) {
     const CLOCK_ROUNDS: u32 = 50;
     const CLOCK_MONITORS: u32 = 2;
     let recorder = Arc::new(Recorder::with_clocks());
@@ -223,19 +289,16 @@ fn stress_clocked_recorder_stamps_are_consistent_with_seq_order() {
     let (_, request, release) = allocator();
     let stop = Arc::new(AtomicBool::new(false));
 
-    let windows: Arc<Mutex<Vec<Vec<Event>>>> = Arc::new(Mutex::new(Vec::new()));
     let drainer = {
         let recorder = Arc::clone(&recorder);
         let stop = Arc::clone(&stop);
-        let windows = Arc::clone(&windows);
         std::thread::spawn(move || {
+            let mut taken = Taken::default();
             while !stop.load(Ordering::Acquire) {
-                let w = recorder.drain_window();
-                if !w.is_empty() {
-                    windows.lock().unwrap().push(w);
-                }
+                taken.take(&recorder, how);
                 std::thread::yield_now();
             }
+            taken
         })
     };
 
@@ -269,11 +332,11 @@ fn stress_clocked_recorder_stamps_are_consistent_with_seq_order() {
         p.join().unwrap();
     }
     stop.store(true, Ordering::Release);
-    drainer.join().unwrap();
+    let mut taken = drainer.join().unwrap();
+    taken.take(&recorder, how);
 
     // Lossless under concurrent drains, exactly as the unclocked one.
-    let mut all: Vec<Event> = windows.lock().unwrap().iter().flatten().copied().collect();
-    all.extend(recorder.drain_window());
+    let mut all: Vec<Event> = taken.into_windows().into_iter().flatten().collect();
     let expected = u64::from(THREADS) * u64::from(CLOCK_ROUNDS) * u64::from(CLOCK_MONITORS) * 4;
     assert_eq!(all.len() as u64, expected);
     let mut seqs: Vec<u64> = all.iter().map(|e| e.seq).collect();
@@ -319,6 +382,11 @@ fn stress_clocked_recorder_stamps_are_consistent_with_seq_order() {
 
 #[test]
 fn stress_violations_match_locked_reference_recorder() {
+    violations_match_locked_reference_recorder(Take::Drained);
+    violations_match_locked_reference_recorder(Take::HandedOver);
+}
+
+fn violations_match_locked_reference_recorder(how: Take) {
     // The same logical trace through the sharded pipeline and through
     // the old global-mutex shape: per-(monitor, pid) verdict sequences
     // must be identical.
@@ -343,7 +411,9 @@ fn stress_violations_match_locked_reference_recorder() {
         p.join().unwrap();
     }
 
-    let pipeline_events = recorder.drain_window();
+    let mut taken = Taken::default();
+    taken.take(&recorder, how);
+    let pipeline_events = taken.into_windows().pop().expect("one window");
     let reference_events = reference.drain();
     assert_eq!(pipeline_events.len(), reference_events.len());
 
