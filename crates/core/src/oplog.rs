@@ -160,8 +160,12 @@ const TAG_CHECKPOINT: u8 = 5;
 // CRC-32 (IEEE, reflected) — the framing checksum
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables. `T[0]` is the classic byte table: the CRC
+/// register after shifting one byte `i` through the reflected
+/// polynomial. `T[k][i]` is `T[0][i]` pushed `k` further zero bytes on,
+/// so eight table lookups advance the register by eight input bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -170,16 +174,30 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// The IEEE CRC-32 checksum (the one zlib/PNG use) of `bytes` — what
 /// the storage layer's record framing carries.
+///
+/// Slicing-by-8: the body is consumed eight bytes per step, one lookup
+/// in each of eight tables, and the last `len % 8` bytes one at a time.
+/// The result is bit-for-bit the bytewise table loop's.
 ///
 /// # Examples
 ///
@@ -188,9 +206,23 @@ static CRC_TABLE: [u32; 256] = crc32_table();
 /// assert_eq!(rmon_core::oplog::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t7[lo as u8 as usize]
+            ^ t6[(lo >> 8) as u8 as usize]
+            ^ t5[(lo >> 16) as u8 as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[hi as u8 as usize]
+            ^ t2[(hi >> 8) as u8 as usize]
+            ^ t1[(hi >> 16) as u8 as usize]
+            ^ t0[(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t0[(crc as u8 ^ b) as usize];
     }
     !crc
 }
@@ -512,6 +544,13 @@ fn read_violation(r: &mut Reader<'_>) -> Result<Violation, DecodeError> {
     Ok(Violation { monitor, rule, fault, pid, event_seq, detected_at, message })
 }
 
+fn put_events(out: &mut Vec<u8>, events: &[Event]) {
+    put_u32(out, events.len() as u32);
+    for e in events {
+        put_event(out, e);
+    }
+}
+
 fn put_violations(out: &mut Vec<u8>, vs: &[Violation]) {
     put_u32(out, vs.len() as u32);
     for v in vs {
@@ -623,12 +662,7 @@ pub fn encode_record(record: &Record) -> Vec<u8> {
             put_str(&mut out, name);
             put_u64(&mut out, time.as_nanos());
         }
-        Record::Events(events) => {
-            put_u32(&mut out, events.len() as u32);
-            for e in events {
-                put_event(&mut out, e);
-            }
-        }
+        Record::Events(events) => put_events(&mut out, events),
         Record::Realtime(vs) => put_violations(&mut out, vs),
         Record::Checkpoint { now, snapshots, report } => {
             put_u64(&mut out, now.as_nanos());
@@ -642,6 +676,26 @@ pub fn encode_record(record: &Record) -> Vec<u8> {
             put_report(&mut out, report);
         }
     }
+    out
+}
+
+/// Encodes an `Events` record straight from a borrowed window: the
+/// bytes of `encode_record(&Record::Events(events.to_vec()))`, without
+/// copying the window first.
+pub fn encode_events_record(events: &[Event]) -> Vec<u8> {
+    // An event without a clock stamp encodes to at most 32 bytes.
+    let mut out = Vec::with_capacity(5 + events.len() * 32);
+    out.push(TAG_EVENTS);
+    put_events(&mut out, events);
+    out
+}
+
+/// Encodes a `Realtime` record straight from a borrowed verdict batch:
+/// the bytes of `encode_record(&Record::Realtime(violations.to_vec()))`.
+pub fn encode_realtime_record(violations: &[Violation]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.push(TAG_REALTIME);
+    put_violations(&mut out, violations);
     out
 }
 
@@ -916,11 +970,60 @@ mod tests {
         b
     }
 
+    /// The byte-at-a-time table loop slicing-by-8 replaced: the
+    /// reference the fast kernel must equal on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// SplitMix64: a seeded byte source for the equivalence sweep.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_reference_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_loop_at_every_length_and_offset() {
+        let buf = random_bytes(1, 300 + 8);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &buf[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_loop_on_random_buffers() {
+        for seed in 0..64u64 {
+            // Lengths up to 64 KiB, spread over every residue mod 8.
+            let len = (seed as usize * 1031) % (64 << 10) + seed as usize % 8;
+            let buf = random_bytes(seed, len);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "seed {seed} len {len}");
+        }
+        let full = random_bytes(99, 64 << 10);
+        assert_eq!(crc32(&full), crc32_bytewise(&full));
     }
 
     #[test]

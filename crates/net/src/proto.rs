@@ -405,6 +405,53 @@ mod tests {
         assert_eq!(&bytes[ENVELOPE_HEADER_BYTES..], &encode_record(&record)[..]);
     }
 
+    /// The wire format pinned byte for byte: an event batch, a
+    /// registration and a checkpoint answer, each framed as it crosses
+    /// a socket (`[len | crc32 | envelope]`).
+    #[test]
+    fn wire_frames_are_byte_for_byte_the_golden_ones() {
+        let al = MonitorSpec::allocator("res", 2);
+        let m = MonitorId::new(3);
+        let hlc = HlcStamp { physical: Nanos::new(1_000), logical: 7 };
+        let messages = [
+            Msg::Record(Record::Events(vec![
+                Event::enter(1, Nanos::new(10), m, Pid::new(1), al.request, true),
+                Event::signal_exit(2, Nanos::new(11), m, Pid::new(1), al.request, None, false),
+            ])),
+            Msg::Register {
+                monitor: m,
+                name: "res".into(),
+                now: Nanos::new(5),
+                initial: al.spec.empty_state(),
+            },
+            Msg::CheckpointResp {
+                id: 11,
+                snapshots: vec![(m, al.spec.empty_state())],
+                gates: vec![(m, 2)],
+                report: FaultReport { events_checked: 2, ..FaultReport::default() },
+            },
+        ];
+        let golden = [
+            "54000000f681d06c0000000000000000e803000000000000070000000302000000010000
+             00000000000a000000000000000300000001000000000000010002000000000000000b00
+             0000000000000300000001000000000002000000",
+            "4100000092d164c20100000000000000e803000000000000070000001103000000030000
+             007265730500000000000000000000000100000000000000000000000102000000000000
+             00",
+            "6e00000052eab9440200000000000000e80300000000000007000000140b000000000000
+             000100000003000000000000000100000000000000000000000102000000000000000100
+             000003000000020000000000000000000000000000000200000000000000000000000000
+             00000000000000000000",
+        ];
+        for (seq, (msg, golden)) in messages.into_iter().zip(golden).enumerate() {
+            let env = Envelope { seq: seq as u64, hlc, msg };
+            let mut frame = Vec::new();
+            rmon_storage::frame::frame_into(&mut frame, &encode_envelope(&env));
+            let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden.split_whitespace().collect::<String>(), "{:?}", env.msg);
+        }
+    }
+
     #[test]
     fn corrupt_and_truncated_payloads_are_rejected_not_panicked() {
         let env = Envelope {

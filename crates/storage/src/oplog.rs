@@ -12,7 +12,7 @@
 //! may overshoot a segment's soft size cap).
 
 use crate::segment::{
-    recover_segment, scan_segment, SegmentScan, SegmentWriter, SEGMENT_HEADER_BYTES,
+    read_segment, recover_segment, walk_segment_bytes, SegmentWriter, SEGMENT_HEADER_BYTES,
 };
 use std::fs;
 use std::io;
@@ -280,36 +280,54 @@ impl Oplog {
     /// Reads every record payload in `dir`, in LSN order, without
     /// opening the log for writing. Returns the payloads plus a
     /// [`ReadReport`] noting where scanning stopped early (torn tails,
-    /// mid-log corruption). Memory use is bounded by the retention cap.
+    /// mid-log corruption). Memory use is bounded by the retention cap;
+    /// [`crate::replay_dir`] walks the same frames one segment at a
+    /// time instead of collecting them.
     pub fn read_dir_records(
         dir: &Path,
         max_record_bytes: u32,
     ) -> io::Result<(Vec<Vec<u8>>, ReadReport)> {
-        let segments = list_segments(dir)?;
         let mut records = Vec::new();
-        let mut report = ReadReport {
-            segments: segments.len(),
-            first_lsn: segments.first().map_or(0, |&(lsn, _)| lsn),
-            ..Default::default()
-        };
-        let last = segments.len().saturating_sub(1);
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let scan: SegmentScan = scan_segment(path, max_record_bytes)?;
-            records.extend(scan.records);
-            if scan.torn_bytes > 0 {
-                report.torn_bytes += scan.torn_bytes;
-                if i != last {
-                    // A sealed segment should be complete: bytes after a
-                    // bad frame in the middle of the log are real loss,
-                    // and later records would be mis-numbered — stop.
-                    report.stopped_mid_log = true;
-                    break;
-                }
-            }
-        }
-        report.records = records.len() as u64;
+        let report = walk_dir(dir, max_record_bytes, |payload| records.push(payload.to_vec()))?;
         Ok((records, report))
     }
+}
+
+/// Hands `visit` every whole record payload in `dir`, in LSN order, and
+/// reports where scanning stopped — the walk behind
+/// [`Oplog::read_dir_records`]. One segment's bytes are in memory at a
+/// time (one buffer, reused), and each payload is borrowed from it.
+pub(crate) fn walk_dir(
+    dir: &Path,
+    max_record_bytes: u32,
+    mut visit: impl FnMut(&[u8]),
+) -> io::Result<ReadReport> {
+    let segments = list_segments(dir)?;
+    let mut report = ReadReport {
+        segments: segments.len(),
+        first_lsn: segments.first().map_or(0, |&(lsn, _)| lsn),
+        ..Default::default()
+    };
+    let last = segments.len().saturating_sub(1);
+    let mut bytes = Vec::new();
+    for (i, (_, path)) in segments.iter().enumerate() {
+        read_segment(path, &mut bytes)?;
+        let scan = walk_segment_bytes(&bytes, max_record_bytes, |payload| {
+            report.records += 1;
+            visit(payload);
+        });
+        if scan.torn_bytes > 0 {
+            report.torn_bytes += scan.torn_bytes;
+            if i != last {
+                // A sealed segment should be complete: bytes after a
+                // bad frame in the middle of the log are real loss,
+                // and later records would be mis-numbered — stop.
+                report.stopped_mid_log = true;
+                break;
+            }
+        }
+    }
+    Ok(report)
 }
 
 /// What [`Oplog::read_dir_records`] saw.

@@ -20,6 +20,26 @@
 //! fresh detector: monitor ids and event sequence numbers restart
 //! behind it.
 //!
+//! ## Replaying a committed window
+//!
+//! At its `Checkpoint` a staged window is pushed through
+//! [`Detector::observe_into`] in log order (the live real-time path,
+//! Algorithm 3), then checked by the window-less
+//! [`Detector::checkpoint_scoped`] against the journaled snapshots at
+//! the journaled `now`. Passing the window again, as
+//! `Detector::checkpoint(now, window, ..)` would, cannot change a
+//! verdict. The watermark argument: `observe_into` raises each pid's
+//! mark to the `seq` of every fresh event and queues it in its
+//! monitor's pending window, and skips only events already at or below
+//! the mark. After the loop every staged event is therefore at or below
+//! its pid's mark, and the explicit-window pass replays exactly the
+//! events above it — none. (Events of unregistered monitors are
+//! ignored by both paths.) Both forms then replay the same pending
+//! windows and compare the same snapshots, so they report the same
+//! verdicts. The window-less form skips the explicit pass's cost: a
+//! scan of the whole window once per registered monitor, quadratic in
+//! a fleet's size. Replay costs O(events) per checkpoint.
+//!
 //! ## What replay needs from the caller
 //!
 //! Monitor *declarations* are code, not data: the journal records only
@@ -33,7 +53,7 @@
 //! its first epoch: a retention policy that deleted old segments has
 //! discarded inputs (see [`crate::oplog::ReadReport::first_lsn`]).
 
-use crate::oplog::{Oplog, ReadReport};
+use crate::oplog::{walk_dir, ReadReport};
 use rmon_core::detect::Detector;
 use rmon_core::oplog::{decode_record, Record};
 use rmon_core::{DetectorConfig, Event, MonitorId, MonitorSpec, Pid, RuleId, Violation};
@@ -120,93 +140,124 @@ pub fn replay_records(
     cfg: DetectorConfig,
     resolve: &SpecResolver<'_>,
 ) -> ReplayOutcome {
-    let mut out = ReplayOutcome::default();
-    let mut det: Option<Detector> = None;
-    let mut staged_events: Vec<Event> = Vec::new();
-    let mut staged_realtime: Vec<Violation> = Vec::new();
-    let mut staged: u64 = 0;
+    let mut replay = Replay::new(cfg, resolve);
     for record in records {
-        match record {
-            Record::Epoch { .. } => {
-                out.uncommitted_records += staged;
-                staged = 0;
-                staged_events.clear();
-                staged_realtime.clear();
-                det = Some(Detector::new(cfg));
-                out.epochs += 1;
-            }
-            Record::Register { monitor, name, time } => {
-                let Some(det) = det.as_mut() else {
-                    out.pre_epoch_records += 1;
-                    continue;
-                };
-                match resolve(*monitor, name) {
-                    Some(spec) => det.register_empty(*monitor, spec, *time),
-                    None => out.unresolved.push(name.clone()),
-                }
-            }
-            Record::Events(events) => {
-                if det.is_none() {
-                    out.pre_epoch_records += 1;
-                    continue;
-                }
-                staged_events.extend_from_slice(events);
-                staged += 1;
-            }
-            Record::Realtime(violations) => {
-                if det.is_none() {
-                    out.pre_epoch_records += 1;
-                    continue;
-                }
-                staged_realtime.extend_from_slice(violations);
-                staged += 1;
-            }
-            Record::Checkpoint { now, snapshots, report } => {
-                let Some(det) = det.as_mut() else {
-                    out.pre_epoch_records += 1;
-                    continue;
-                };
-                // Mirror the live ingestion order: events stream through
-                // the real-time path first (Algorithm 3), then the
-                // barrier replays the window (per-caller watermarks
-                // dedupe) and compares against the journaled snapshots.
-                for event in &staged_events {
-                    det.observe_into(event, &mut out.recomputed);
-                }
-                out.events_replayed += staged_events.len() as u64;
-                let snaps: HashMap<_, _> = snapshots.iter().cloned().collect();
-                let recomputed_report = det.checkpoint(*now, &staged_events, &snaps);
-                out.recomputed.extend(recomputed_report.violations);
-                out.recorded.append(&mut staged_realtime);
-                out.recorded.extend(report.violations.iter().cloned());
-                staged_events.clear();
-                staged = 0;
-                out.checkpoints += 1;
-            }
-        }
+        replay.feed(record);
     }
-    out.uncommitted_records += staged;
-    out
+    replay.finish()
 }
 
-/// Replays a journal directory: reads every segment (see
-/// [`Oplog::read_dir_records`]), decodes the payloads and runs
-/// [`replay_records`]. Undecodable payloads end the stream (a CRC-valid
-/// frame that does not parse is a format mismatch) — everything up to
-/// that point replays.
+/// Replays a journal directory record by record: the frames of one
+/// segment at a time (the walk behind
+/// [`crate::Oplog::read_dir_records`]), each decoded from the borrowed
+/// segment bytes and fed straight to the state machine
+/// [`replay_records`] runs. Memory is one segment plus the staged
+/// window, not the log. Undecodable payloads end the stream
+/// (a CRC-valid frame that does not parse is a format mismatch) —
+/// everything up to that point replays, and the [`ReadReport`] still
+/// covers the whole directory.
 pub fn replay_dir(
     dir: &Path,
     max_record_bytes: u32,
     cfg: DetectorConfig,
     resolve: &SpecResolver<'_>,
 ) -> io::Result<(ReplayOutcome, ReadReport)> {
-    let (payloads, report) = Oplog::read_dir_records(dir, max_record_bytes)?;
-    let mut records = Vec::with_capacity(payloads.len());
-    for payload in &payloads {
+    let mut replay = Replay::new(cfg, resolve);
+    let mut decoding = true;
+    let report = walk_dir(dir, max_record_bytes, |payload| {
+        if !decoding {
+            return;
+        }
         match decode_record(payload) {
-            Ok(record) => records.push(record),
-            Err(_) => break,
+            Ok(record) => replay.feed(&record),
+            Err(_) => decoding = false,
+        }
+    })?;
+    Ok((replay.finish(), report))
+}
+
+/// The replay state machine: one detector per epoch, the current
+/// window staged until its `Checkpoint` commits it.
+struct Replay<'r> {
+    cfg: DetectorConfig,
+    resolve: &'r SpecResolver<'r>,
+    out: ReplayOutcome,
+    det: Option<Detector>,
+    staged_events: Vec<Event>,
+    staged_realtime: Vec<Violation>,
+    /// Staged records, counted as uncommitted if no checkpoint comes.
+    staged: u64,
+}
+
+impl<'r> Replay<'r> {
+    fn new(cfg: DetectorConfig, resolve: &'r SpecResolver<'r>) -> Self {
+        Replay {
+            cfg,
+            resolve,
+            out: ReplayOutcome::default(),
+            det: None,
+            staged_events: Vec::new(),
+            staged_realtime: Vec::new(),
+            staged: 0,
         }
     }
-    Ok((replay_records(&records, cfg, resolve), report))
+
+    fn feed(&mut self, record: &Record) {
+        let out = &mut self.out;
+        if !matches!(record, Record::Epoch { .. }) && self.det.is_none() {
+            out.pre_epoch_records += 1;
+            return;
+        }
+        match record {
+            Record::Epoch { .. } => {
+                out.uncommitted_records += self.staged;
+                self.staged = 0;
+                self.staged_events.clear();
+                self.staged_realtime.clear();
+                self.det = Some(Detector::new(self.cfg));
+                out.epochs += 1;
+            }
+            Record::Register { monitor, name, time } => {
+                let det = self.det.as_mut().expect("checked above");
+                match (self.resolve)(*monitor, name) {
+                    Some(spec) => det.register_empty(*monitor, spec, *time),
+                    None => out.unresolved.push(name.clone()),
+                }
+            }
+            Record::Events(events) => {
+                self.staged_events.extend_from_slice(events);
+                self.staged += 1;
+            }
+            Record::Realtime(violations) => {
+                self.staged_realtime.extend_from_slice(violations);
+                self.staged += 1;
+            }
+            Record::Checkpoint { now, snapshots, report } => {
+                let det = self.det.as_mut().expect("checked above");
+                // Mirror the live ingestion order: events stream through
+                // the real-time path first (Algorithm 3), then the
+                // barrier replays each monitor's pending window and
+                // compares against the journaled snapshots.
+                for event in &self.staged_events {
+                    det.observe_into(event, &mut out.recomputed);
+                }
+                out.events_replayed += self.staged_events.len() as u64;
+                let snaps: HashMap<_, _> = snapshots.iter().cloned().collect();
+                // Window-less: every staged event is now at or below its
+                // pid's watermark (see the module docs).
+                let recomputed = det.checkpoint_scoped(*now, &snaps, &HashMap::new(), None);
+                out.recomputed.extend(recomputed.violations);
+                out.recorded.append(&mut self.staged_realtime);
+                out.recorded.extend(report.violations.iter().cloned());
+                self.staged_events.clear();
+                self.staged = 0;
+                out.checkpoints += 1;
+            }
+        }
+    }
+
+    fn finish(mut self) -> ReplayOutcome {
+        self.out.uncommitted_records += self.staged;
+        self.out
+    }
 }

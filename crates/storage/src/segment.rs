@@ -51,6 +51,21 @@ pub struct SegmentScan {
 /// plus the torn-tail boundary. Never panics on any input — corrupt
 /// length fields are bounded by `max_record_bytes` and the buffer size.
 pub fn scan_segment_bytes(bytes: &[u8], max_record_bytes: u32) -> SegmentScan {
+    let mut records = Vec::new();
+    let scan = walk_segment_bytes(bytes, max_record_bytes, |payload| {
+        records.push(payload.to_vec());
+    });
+    SegmentScan { records, ..scan }
+}
+
+/// The scan behind [`scan_segment_bytes`]: hands `visit` each whole
+/// frame's payload, borrowed from `bytes`, in file order, and returns
+/// the boundaries with `records` left empty — it copies nothing.
+pub(crate) fn walk_segment_bytes(
+    bytes: &[u8],
+    max_record_bytes: u32,
+    mut visit: impl FnMut(&[u8]),
+) -> SegmentScan {
     if bytes.len() < SEGMENT_HEADER_BYTES as usize || bytes[..8] != SEGMENT_MAGIC {
         return SegmentScan {
             records: Vec::new(),
@@ -59,17 +74,16 @@ pub fn scan_segment_bytes(bytes: &[u8], max_record_bytes: u32) -> SegmentScan {
             header_ok: false,
         };
     }
-    let mut records = Vec::new();
     let mut pos = SEGMENT_HEADER_BYTES as usize;
     // Both an incomplete frame (NeedMore) and a corrupt one (Invalid)
     // end the valid prefix here: on disk either shape is a torn tail.
     while let FrameStep::Frame { len } = parse_frame(&bytes[pos..], max_record_bytes) {
         let head = pos + FRAME_HEADER_BYTES as usize;
-        records.push(bytes[head..head + len].to_vec());
+        visit(&bytes[head..head + len]);
         pos = head + len;
     }
     SegmentScan {
-        records,
+        records: Vec::new(),
         valid_len: pos as u64,
         torn_bytes: (bytes.len() - pos) as u64,
         header_ok: true,
@@ -79,8 +93,16 @@ pub fn scan_segment_bytes(bytes: &[u8], max_record_bytes: u32) -> SegmentScan {
 /// Reads and scans a segment file. See [`scan_segment_bytes`].
 pub fn scan_segment(path: &Path, max_record_bytes: u32) -> io::Result<SegmentScan> {
     let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    read_segment(path, &mut bytes)?;
     Ok(scan_segment_bytes(&bytes, max_record_bytes))
+}
+
+/// Replaces `buf`'s contents with the segment file's bytes, reusing its
+/// allocation.
+pub(crate) fn read_segment(path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    File::open(path)?.read_to_end(buf)?;
+    Ok(())
 }
 
 /// Recovers a segment in place: scans it, truncates the torn tail (so

@@ -3,7 +3,9 @@
 
 use crate::oplog::{Oplog, OplogConfig, RecoveryReport};
 use parking_lot::Mutex;
-use rmon_core::oplog::{encode_record, EventSink, Record, ViolationSink};
+use rmon_core::oplog::{
+    encode_events_record, encode_realtime_record, encode_record, EventSink, Record, ViolationSink,
+};
 use rmon_core::{Event, FaultReport, MonitorId, MonitorState, Nanos, Violation};
 use std::collections::HashMap;
 use std::io;
@@ -75,19 +77,9 @@ impl EventSink for DurableSink {
     /// A window whose encoding is past [`OplogConfig::max_record_bytes`]
     /// is written as consecutive `Events` records under the cap (the
     /// replayer concatenates staged `Events` records up to the
-    /// committing checkpoint), with the log held throughout so that no
-    /// other record falls between the pieces.
+    /// committing checkpoint).
     fn append_events(&self, events: &[Event]) -> io::Result<()> {
-        fn append_window(oplog: &mut Oplog, events: &[Event]) -> io::Result<()> {
-            let payload = encode_record(&Record::Events(events.to_vec()));
-            if payload.len() > oplog.config().max_record_bytes as usize && events.len() > 1 {
-                let (head, tail) = events.split_at(events.len() / 2);
-                append_window(oplog, head)?;
-                return append_window(oplog, tail);
-            }
-            oplog.append(&payload).map(drop)
-        }
-        append_window(&mut self.oplog.lock(), events)
+        append_split(&mut self.oplog.lock(), events, encode_events_record)
     }
 
     fn sync(&self) -> io::Result<()> {
@@ -96,10 +88,19 @@ impl EventSink for DurableSink {
 }
 
 impl ViolationSink for DurableSink {
+    /// A batch whose encoding is past [`OplogConfig::max_record_bytes`]
+    /// is written as consecutive `Realtime` records under the cap, as
+    /// windows are split into `Events` records.
     fn append_realtime(&self, violations: &[Violation]) -> io::Result<()> {
-        self.append(&Record::Realtime(violations.to_vec()))
+        append_split(&mut self.oplog.lock(), violations, encode_realtime_record)
     }
 
+    /// A checkpoint whose report is past [`OplogConfig::max_record_bytes`]
+    /// journals the report's violations as `Realtime` records, then a
+    /// `Checkpoint` marker whose report has none. The replayer commits
+    /// staged `Realtime` records with the marker and compares the union
+    /// of both kinds by key, so the recorded verdict set is the same.
+    /// Snapshots alone past the cap are still refused.
     fn append_checkpoint(
         &self,
         now: Nanos,
@@ -109,8 +110,33 @@ impl ViolationSink for DurableSink {
         let mut snaps: Vec<(MonitorId, MonitorState)> =
             snapshots.iter().map(|(&id, s)| (id, s.clone())).collect();
         snaps.sort_by_key(|(id, _)| *id);
-        self.append(&Record::Checkpoint { now, snapshots: snaps, report: report.clone() })
+        let mut checkpoint = Record::Checkpoint { now, snapshots: snaps, report: report.clone() };
+        let mut payload = encode_record(&checkpoint);
+        let mut oplog = self.oplog.lock();
+        if payload.len() > oplog.config().max_record_bytes as usize && !report.violations.is_empty()
+        {
+            append_split(&mut oplog, &report.violations, encode_realtime_record)?;
+            if let Record::Checkpoint { report: marker, .. } = &mut checkpoint {
+                marker.violations.clear();
+            }
+            payload = encode_record(&checkpoint);
+        }
+        oplog.append(&payload).map(drop)
     }
+}
+
+/// Appends `items` as one record, or — when its encoding is past
+/// [`OplogConfig::max_record_bytes`] — as consecutive records of the
+/// same kind, halving until each piece fits. The caller holds the log
+/// throughout, so no other record falls between the pieces.
+fn append_split<T>(oplog: &mut Oplog, items: &[T], encode: fn(&[T]) -> Vec<u8>) -> io::Result<()> {
+    let payload = encode(items);
+    if payload.len() > oplog.config().max_record_bytes as usize && items.len() > 1 {
+        let (head, tail) = items.split_at(items.len() / 2);
+        append_split(oplog, head, encode)?;
+        return append_split(oplog, tail, encode);
+    }
+    oplog.append(&payload).map(drop)
 }
 
 #[cfg(test)]
@@ -164,6 +190,52 @@ mod tests {
         let sink = DurableSink::open(&dir, OplogConfig::default()).unwrap();
         assert_eq!(sink.next_lsn(), 5);
         assert_eq!(sink.recovery().tail_records, 5);
+    }
+
+    #[test]
+    fn verdict_batches_past_the_cap_are_split_under_it() {
+        use rmon_core::{RuleId, Violation};
+
+        let dir = tmp_dir("split");
+        let cap = 256;
+        let cfg = OplogConfig { max_record_bytes: cap, ..OplogConfig::default() };
+        let sink = DurableSink::open(&dir, cfg).unwrap();
+        let m = MonitorId::new(0);
+        let verdicts: Vec<Violation> = (0..12)
+            .map(|i| {
+                Violation::new(m, RuleId::St8HoldTimeout, Nanos::new(i), format!("verdict {i}"))
+            })
+            .collect();
+        sink.append_realtime(&verdicts).unwrap();
+        let report = FaultReport {
+            violations: verdicts.clone(),
+            events_checked: 7,
+            ..FaultReport::default()
+        };
+        let snaps = HashMap::from([(m, MonitorState::new(1))]);
+        sink.append_checkpoint(Nanos::new(99), &snaps, &report).unwrap();
+        EventSink::sync(&sink).unwrap();
+        drop(sink);
+
+        let records = read_records(&dir);
+        let Some((Record::Checkpoint { now, snapshots, report: marker }, pieces)) =
+            records.split_last()
+        else {
+            panic!("{records:?}")
+        };
+        // The realtime batch, then the report's violations, each as
+        // consecutive Realtime records; then a marker without them.
+        let mut journaled = Vec::new();
+        for piece in pieces {
+            let Record::Realtime(vs) = piece else { panic!("{piece:?}") };
+            assert!(!vs.is_empty());
+            journaled.extend(vs.iter().cloned());
+        }
+        assert!(pieces.len() > 2, "{} pieces", pieces.len());
+        assert_eq!(journaled, [verdicts.clone(), verdicts].concat());
+        assert_eq!(*now, Nanos::new(99));
+        assert_eq!(snapshots, &vec![(m, MonitorState::new(1))]);
+        assert_eq!(marker, &FaultReport { violations: Vec::new(), ..report });
     }
 
     #[test]
