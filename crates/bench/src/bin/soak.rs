@@ -60,7 +60,10 @@ fn main() -> ExitCode {
         report.replay.uncommitted_records,
     );
     if report.journal_errors > 0 {
-        eprintln!("soak: FAIL — {} journal errors", report.journal_errors);
+        eprintln!(
+            "soak: FAIL — {} journal errors, the first: {:?}",
+            report.journal_errors, report.first_journal_error
+        );
         return ExitCode::FAILURE;
     }
     if report.rotated == 0 {

@@ -1,40 +1,12 @@
-//! Shared helpers for the `rmon` benchmark harness.
+//! Shared helpers for the `rmon-bench` binaries in `src/bin/`:
 //!
-//! The binaries in `src/bin/` regenerate the paper's evaluation:
+//! * `coverage` — the robustness/fault-injection experiment (§4: every
+//!   injected fault is detected);
+//! * `soak` — the durable-oplog chaos soak;
+//! * `rmon-lint` — the static spec linter.
 //!
-//! * `table1` — Table 1: overhead ratio vs. checking interval (EXP-T1);
-//! * `coverage` — the robustness/fault-injection experiment (EXP-COV);
-//! * `ablation` — recording-vs-checking split (EXP-ABL-REC), detection
-//!   latency vs. interval (EXP-ABL-RT), and detector cost vs. window
-//!   size (EXP-ABL-DET).
-//!
-//! The Criterion benches in `benches/` cover the same measurements in
-//! statistically instrumented form.
-
-use std::time::Duration;
-
-/// The scale between a *paper second* (the checking intervals of
-/// Table 1 are 0.5 s – 3.0 s) and our bench wall clock. Default
-/// 50 ms ≙ 1 paper-second; override with `RMON_PAPER_SECOND_MS`.
-///
-/// The overhead curve depends on the ratio between checking work and
-/// monitor work per interval, not on absolute seconds, so a scaled
-/// reproduction preserves the shape while keeping the harness fast.
-pub fn paper_second() -> Duration {
-    let ms = std::env::var("RMON_PAPER_SECOND_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(50);
-    Duration::from_millis(ms.max(1))
-}
-
-/// The checking intervals of Table 1, in paper seconds.
-pub const TABLE1_INTERVALS: [f64; 6] = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
-
-/// Formats a duration in fractional paper-seconds.
-pub fn as_paper_seconds(d: Duration, paper_second: Duration) -> f64 {
-    d.as_secs_f64() / paper_second.as_secs_f64()
-}
+//! Performance (the paper's Table 1 and the per-layer figures) is
+//! measured by the `bench` binary of the separate `layerbench` package.
 
 /// Prints a fixed-width table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
@@ -49,17 +21,6 @@ pub fn rule_line(widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_second_has_default() {
-        assert!(paper_second() >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn paper_second_conversion() {
-        let ps = Duration::from_millis(50);
-        assert!((as_paper_seconds(Duration::from_millis(25), ps) - 0.5).abs() < 1e-9);
-    }
 
     #[test]
     fn row_formatting_pads() {

@@ -69,7 +69,6 @@ pub mod detect;
 mod error;
 pub mod event;
 mod fault;
-mod history;
 pub mod hlc;
 mod ids;
 mod lists;
@@ -88,7 +87,6 @@ pub use config::{DetectorConfig, DetectorConfigBuilder, Mode, PredictMode};
 pub use error::CoreError;
 pub use event::{Event, EventKind};
 pub use fault::{taxonomy, FaultInfo, FaultKind, FaultLevel};
-pub use history::HistoryDb;
 pub use hlc::{Hlc, HlcStamp};
 pub use ids::{CondId, MonitorId, Pid, PidProc, ProcName};
 pub use lists::{GeneralLists, OrderState, ResourceState};
@@ -117,7 +115,6 @@ mod crate_tests {
         assert_send_sync::<MonitorSpec>();
         assert_send_sync::<FaultReport>();
         assert_send_sync::<detect::Detector>();
-        assert_send_sync::<HistoryDb>();
         assert_send_sync::<DetectorConfig>();
     }
 

@@ -53,7 +53,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -247,6 +247,9 @@ struct ServiceShared {
     /// blocks or panics on a failing journal; operators watch
     /// [`DetectionService::journal_errors`].
     journal_errors: AtomicU64,
+    /// The first failed append's kind and message
+    /// ([`DetectionService::first_journal_error`]).
+    first_journal_error: OnceLock<(io::ErrorKind, String)>,
     /// Every registration the fleet has seen, post-renaming: the
     /// worker-announced name and the spec it resolved to (`None` for
     /// unresolved names). Input to [`DetectionService::lint_fleet`].
@@ -255,11 +258,13 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
-    /// Folds an append result into the error counter — the journal is
-    /// an observer, never a gate on detection.
+    /// Folds an append result into the error counter, keeping the
+    /// first error — the journal is an observer, never a gate on
+    /// detection.
     fn journal_try(&self, result: io::Result<()>) {
-        if result.is_err() {
+        if let Err(e) = result {
             self.journal_errors.fetch_add(1, Ordering::Relaxed);
+            self.first_journal_error.get_or_init(|| (e.kind(), e.to_string()));
         }
     }
 
@@ -360,6 +365,7 @@ impl DetectionService {
                 verdicts: Mutex::new(Vec::new()),
                 journal: Mutex::new(None),
                 journal_errors: AtomicU64::new(0),
+                first_journal_error: OnceLock::new(),
                 registered: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
             }),
@@ -439,6 +445,14 @@ impl DetectionService {
     /// missing records and replay from it is incomplete.
     pub fn journal_errors(&self) -> u64 {
         self.shared.journal_errors.load(Ordering::Relaxed)
+    }
+
+    /// The kind and message of the first journal append that failed,
+    /// `None` while [`Self::journal_errors`] is zero. `InvalidInput` is
+    /// a record the sink refused as past its size cap; any other kind
+    /// is an OS append or fsync failure.
+    pub fn first_journal_error(&self) -> Option<(io::ErrorKind, String)> {
+        self.shared.first_journal_error.get().cloned()
     }
 
     /// The service's hybrid logical clock; `last().physical` is a
@@ -1095,6 +1109,48 @@ mod tests {
         assert!(started.elapsed() < Duration::from_millis(100) + Duration::from_secs(1));
 
         live.shutdown();
+        service.shutdown();
+    }
+
+    /// A journal whose every append fails the way a full disk does.
+    #[derive(Debug)]
+    struct FailingSink;
+
+    impl EventSink for FailingSink {
+        fn append_epoch(&self, _: Nanos) -> io::Result<()> {
+            Err(io::Error::other("disk gone"))
+        }
+        fn append_register(&self, _: MonitorId, _: &str, _: Nanos) -> io::Result<()> {
+            Err(io::Error::other("disk gone"))
+        }
+        fn append_events(&self, _: &[Event]) -> io::Result<()> {
+            Err(io::Error::other("disk gone"))
+        }
+    }
+
+    impl ViolationSink for FailingSink {
+        fn append_realtime(&self, _: &[Violation]) -> io::Result<()> {
+            Err(io::Error::other("disk gone"))
+        }
+        fn append_checkpoint(
+            &self,
+            _: Nanos,
+            _: &HashMap<MonitorId, MonitorState>,
+            _: &FaultReport,
+        ) -> io::Result<()> {
+            Err(io::Error::other("disk gone"))
+        }
+    }
+
+    #[test]
+    fn a_failing_journal_is_counted_with_its_first_error() {
+        let service = inline_service(Duration::from_secs(2));
+        assert_eq!(service.first_journal_error(), None);
+        service.journal(Arc::new(FailingSink));
+        let fleet = service.checkpoint_fleet(Nanos::new(1_000));
+        assert!(fleet.report.is_clean());
+        assert!(service.journal_errors() >= 1);
+        assert_eq!(service.first_journal_error(), Some((io::ErrorKind::Other, "disk gone".into())));
         service.shutdown();
     }
 }

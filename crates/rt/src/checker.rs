@@ -61,37 +61,6 @@ impl CheckerHandle {
         CheckerHandle { stop, thread: Some(thread), rx }
     }
 
-    /// Spawns the **paper-faithful** (§3.1, unoptimized) checking
-    /// routine: the entire history recorded so far is re-checked
-    /// against the declarative FD-Rules on every invocation, with all
-    /// monitor operations suspended for the duration. This is the
-    /// Table-1 ablation baseline; production use wants
-    /// [`CheckerHandle::spawn`], whose checking lists make each
-    /// invocation incremental.
-    pub fn spawn_full_history(rt: &Runtime, interval: Duration) -> CheckerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let rt = rt.clone();
-        let (_tx, rx): (Sender<FaultReport>, Receiver<FaultReport>) = unbounded();
-        let thread = std::thread::Builder::new()
-            .name("rmon-checker-full".into())
-            .spawn(move || {
-                let mut checks = 0u64;
-                let mut history = Vec::new();
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    rt.inner.checkpoint_full_history(&mut history);
-                    checks += 1;
-                }
-                checks
-            })
-            .expect("spawn full-history checker thread");
-        CheckerHandle { stop, thread: Some(thread), rx }
-    }
-
     /// Receiver of checkpoint reports, in order.
     pub fn reports_rx(&self) -> &Receiver<FaultReport> {
         &self.rx

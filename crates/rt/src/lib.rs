@@ -13,8 +13,9 @@
 //!   monitor operations while it gathers the detection algorithms'
 //!   input (and, for monitors that stream in real time, while it runs
 //!   them — see [`Runtime::checkpoint_now`]);
-//! * [`overhead`] — the measurement harness that regenerates the
-//!   paper's Table 1 (overhead ratio vs. checking interval);
+//! * [`overhead::HandoffBuffer`] — the same hand-off discipline with
+//!   the extension stripped out: the uninstrumented side of the
+//!   paper's Table 1 overhead ratio;
 //! * [`RtFault`] / [`BufferBug`] / [`MonitorGuard::abandon`] — fault
 //!   injection for the classes realizable on real threads.
 //!

@@ -1,154 +1,13 @@
-//! Overhead measurement harness for the paper's performance evaluation
-//! (Table 1): the ratio between monitor operations with the
-//! fault-detection extension and without it, as a function of the
-//! checking interval.
-//!
-//! Three instrumentation modes are compared:
-//!
-//! * [`Mode::Plain`] — a bare Hoare-style buffer on `parking_lot`
-//!   primitives with no recording and no checking (the paper's
-//!   "without the extension" baseline);
-//! * [`Mode::RecordingOnly`] — the robust monitor with its
-//!   data-gathering routine but no checker (the ablation the paper's
-//!   text hints at);
-//! * [`Mode::Full`] — recording plus the periodic checker at a given
-//!   interval, which suspends monitor operations while checking.
+//! The uninstrumented baseline of the paper's performance evaluation
+//! (Table 1): the ratio is taken between monitor operations with the
+//! fault-detection extension and the same operations without it.
+//! [`HandoffBuffer`] is the "without" side; the benchmark's
+//! `app_overhead` workload runs it beside an instrumented
+//! [`BoundedBuffer`](crate::BoundedBuffer).
 
-use crate::buffer::BoundedBuffer;
-use crate::checker::CheckerHandle;
-use crate::runtime::Runtime;
 use parking_lot::{Condvar, Mutex};
-use rmon_core::{DetectorConfig, Nanos};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Instrumentation level for one measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// The same hand-off monitor discipline with no recording and no
-    /// checking — the paper's "monitor without the extension"
-    /// baseline.
-    Plain,
-    /// A barging Mesa-style buffer (mutex + condvars, no hand-off):
-    /// context row showing what the hand-off discipline itself costs.
-    Mesa,
-    /// Event recording without a checker.
-    RecordingOnly,
-    /// Recording plus periodic checking at the given interval.
-    Full {
-        /// The checking interval `T`.
-        interval: Duration,
-    },
-    /// Recording plus the paper-faithful unoptimized checking routine
-    /// (§3.1): the full history is re-checked on every invocation.
-    /// This is the 2001 prototype's cost model — the §3.3 checking
-    /// lists were introduced to avoid it.
-    FullHistory {
-        /// The checking interval `T`.
-        interval: Duration,
-    },
-}
-
-/// Workload shape for the overhead experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Workload {
-    /// Producer thread count.
-    pub producers: usize,
-    /// Consumer thread count.
-    pub consumers: usize,
-    /// Items each producer sends (consumers share the total).
-    pub items_per_producer: usize,
-    /// Buffer capacity.
-    pub capacity: usize,
-}
-
-impl Default for Workload {
-    fn default() -> Self {
-        Workload { producers: 2, consumers: 2, items_per_producer: 2_000, capacity: 8 }
-    }
-}
-
-impl Workload {
-    /// Total monitor operations the workload performs
-    /// (sends + receives).
-    pub fn total_ops(&self) -> u64 {
-        (self.producers * self.items_per_producer * 2) as u64
-    }
-
-    /// With `consumers == 0` each producer thread alternates
-    /// send/receive itself: zero queue contention, so the measurement
-    /// isolates the cost of the monitor *operations* (the paper's
-    /// ratio definition) rather than hand-off parking.
-    pub fn is_alternating(&self) -> bool {
-        self.consumers == 0
-    }
-}
-
-/// One measured data point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// The instrumentation mode measured.
-    pub mode: Mode,
-    /// Wall time for the whole workload.
-    pub elapsed: Nanos,
-    /// Wall nanoseconds per monitor operation.
-    pub ns_per_op: f64,
-    /// Monitor operations performed.
-    pub ops: u64,
-}
-
-/// A barging Mesa-style bounded buffer (mutex + condvars): what one
-/// would write naturally without the monitor discipline. Used as a
-/// context row; the paper's baseline is [`HandoffBuffer`].
-#[derive(Debug)]
-struct PlainBufferInner<T> {
-    queue: VecDeque<T>,
-    capacity: usize,
-}
-
-/// Baseline bounded buffer without any instrumentation.
-#[derive(Debug)]
-pub struct PlainBuffer<T> {
-    inner: Mutex<PlainBufferInner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> PlainBuffer<T> {
-    /// Creates a plain buffer of the given capacity.
-    pub fn new(capacity: usize) -> Self {
-        PlainBuffer {
-            inner: Mutex::new(PlainBufferInner {
-                queue: VecDeque::with_capacity(capacity),
-                capacity,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Deposits an item, waiting while full.
-    pub fn send(&self, item: T) {
-        let mut g = self.inner.lock();
-        while g.queue.len() >= g.capacity {
-            self.not_full.wait(&mut g);
-        }
-        g.queue.push_back(item);
-        self.not_empty.notify_one();
-    }
-
-    /// Removes an item, waiting while empty.
-    pub fn receive(&self) -> T {
-        let mut g = self.inner.lock();
-        while g.queue.is_empty() {
-            self.not_empty.wait(&mut g);
-        }
-        let item = g.queue.pop_front().expect("non-empty after wait");
-        self.not_full.notify_one();
-        item
-    }
-}
 
 /// An uninstrumented Hoare-style hand-off buffer: the exact monitor
 /// discipline of [`crate::BoundedBuffer`] (explicit entry/condition
@@ -276,236 +135,9 @@ impl<T> HandoffBuffer<T> {
     }
 }
 
-/// Runs the producer/consumer workload in the given mode and measures
-/// wall time per monitor operation.
-pub fn measure(workload: Workload, mode: Mode) -> Measurement {
-    let elapsed = match mode {
-        Mode::Plain => run_handoff(workload),
-        Mode::Mesa => run_plain(workload),
-        Mode::RecordingOnly => run_instrumented(workload, None, false),
-        Mode::Full { interval } => run_instrumented(workload, Some(interval), false),
-        Mode::FullHistory { interval } => run_instrumented(workload, Some(interval), true),
-    };
-    let ops = workload.total_ops();
-    Measurement { mode, elapsed, ns_per_op: elapsed.as_nanos() as f64 / ops.max(1) as f64, ops }
-}
-
-fn run_handoff(w: Workload) -> Nanos {
-    let buf = Arc::new(HandoffBuffer::new(w.capacity));
-    let total = w.producers * w.items_per_producer;
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    if w.is_alternating() {
-        for _ in 0..w.producers {
-            let buf = Arc::clone(&buf);
-            let n = w.items_per_producer;
-            handles.push(std::thread::spawn(move || {
-                for i in 0..n {
-                    buf.send(i as u64);
-                    let _ = buf.receive();
-                }
-            }));
-        }
-    } else {
-        let per_consumer = split(total, w.consumers);
-        for _ in 0..w.producers {
-            let buf = Arc::clone(&buf);
-            let n = w.items_per_producer;
-            handles.push(std::thread::spawn(move || {
-                for i in 0..n {
-                    buf.send(i as u64);
-                }
-            }));
-        }
-        for &n in &per_consumer {
-            let buf = Arc::clone(&buf);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..n {
-                    let _ = buf.receive();
-                }
-            }));
-        }
-    }
-    for h in handles {
-        h.join().expect("workload thread");
-    }
-    Nanos::new(start.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-}
-
-fn run_plain(w: Workload) -> Nanos {
-    let buf = Arc::new(PlainBuffer::new(w.capacity));
-    let total = w.producers * w.items_per_producer;
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    if w.is_alternating() {
-        for _ in 0..w.producers {
-            let buf = Arc::clone(&buf);
-            let n = w.items_per_producer;
-            handles.push(std::thread::spawn(move || {
-                for i in 0..n {
-                    buf.send(i as u64);
-                    let _ = buf.receive();
-                }
-            }));
-        }
-    } else {
-        let per_consumer = split(total, w.consumers);
-        for _ in 0..w.producers {
-            let buf = Arc::clone(&buf);
-            let n = w.items_per_producer;
-            handles.push(std::thread::spawn(move || {
-                for i in 0..n {
-                    buf.send(i as u64);
-                }
-            }));
-        }
-        for &n in &per_consumer {
-            let buf = Arc::clone(&buf);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..n {
-                    let _ = buf.receive();
-                }
-            }));
-        }
-    }
-    for h in handles {
-        h.join().expect("workload thread");
-    }
-    Nanos::new(start.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-}
-
-fn run_instrumented(w: Workload, interval: Option<Duration>, full_history: bool) -> Nanos {
-    // Generous detector timers: the workload is correct; we are
-    // measuring cost, not hunting faults.
-    let cfg = DetectorConfig::builder()
-        .t_max(Nanos::from_secs(60))
-        .t_io(Nanos::from_secs(60))
-        .t_limit(Nanos::from_secs(60))
-        .check_interval(interval.map(Nanos::from).unwrap_or(Nanos::from_secs(60)))
-        .build();
-    let rt = Runtime::builder(cfg).park_timeout(Duration::from_secs(30)).build();
-    let buf = BoundedBuffer::new(&rt, "bench", w.capacity);
-    let checker = interval.map(|iv| {
-        if full_history {
-            CheckerHandle::spawn_full_history(&rt, iv)
-        } else {
-            CheckerHandle::spawn(&rt, iv)
-        }
-    });
-    let total = w.producers * w.items_per_producer;
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    if w.is_alternating() {
-        for _ in 0..w.producers {
-            let buf = buf.clone();
-            let n = w.items_per_producer;
-            handles.push(std::thread::spawn(move || {
-                for i in 0..n {
-                    buf.send(i as u64).expect("send");
-                    let _ = buf.receive().expect("receive");
-                }
-            }));
-        }
-    } else {
-        let per_consumer = split(total, w.consumers);
-        for _ in 0..w.producers {
-            let buf = buf.clone();
-            let n = w.items_per_producer;
-            handles.push(std::thread::spawn(move || {
-                for i in 0..n {
-                    buf.send(i as u64).expect("send");
-                }
-            }));
-        }
-        for &n in &per_consumer {
-            let buf = buf.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..n {
-                    let _ = buf.receive().expect("receive");
-                }
-            }));
-        }
-    }
-    for h in handles {
-        h.join().expect("workload thread");
-    }
-    let elapsed = Nanos::new(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    if let Some(c) = checker {
-        c.stop();
-    }
-    elapsed
-}
-
-fn split(total: usize, parts: usize) -> Vec<usize> {
-    let parts = parts.max(1);
-    let base = total / parts;
-    let mut out = vec![base; parts];
-    for item in out.iter_mut().take(total % parts) {
-        *item += 1;
-    }
-    out
-}
-
-/// One row of the Table-1 reproduction: the overhead ratio at a given
-/// checking interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheadRow {
-    /// Checking interval.
-    pub interval: Duration,
-    /// Baseline nanoseconds per op.
-    pub base_ns_per_op: f64,
-    /// Instrumented nanoseconds per op.
-    pub ext_ns_per_op: f64,
-    /// The paper's "ratio for overheads".
-    pub ratio: f64,
-}
-
-/// Produces the Table-1 rows: overhead ratio for each checking
-/// interval, against a shared plain baseline. `faithful` selects the
-/// paper-faithful full-history checking routine instead of the
-/// incremental checking lists.
-pub fn table1_with(workload: Workload, intervals: &[Duration], faithful: bool) -> Vec<OverheadRow> {
-    let base = measure(workload, Mode::Plain);
-    intervals
-        .iter()
-        .map(|&iv| {
-            let mode = if faithful {
-                Mode::FullHistory { interval: iv }
-            } else {
-                Mode::Full { interval: iv }
-            };
-            let ext = measure(workload, mode);
-            OverheadRow {
-                interval: iv,
-                base_ns_per_op: base.ns_per_op,
-                ext_ns_per_op: ext.ns_per_op,
-                ratio: ext.ns_per_op / base.ns_per_op,
-            }
-        })
-        .collect()
-}
-
-/// Incremental-checker Table-1 rows (see [`table1_with`]).
-pub fn table1(workload: Workload, intervals: &[Duration]) -> Vec<OverheadRow> {
-    table1_with(workload, intervals, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> Workload {
-        Workload { producers: 1, consumers: 1, items_per_producer: 200, capacity: 4 }
-    }
-
-    #[test]
-    fn plain_buffer_round_trips() {
-        let buf = PlainBuffer::new(2);
-        buf.send(1);
-        buf.send(2);
-        assert_eq!(buf.receive(), 1);
-        assert_eq!(buf.receive(), 2);
-    }
 
     #[test]
     fn handoff_buffer_round_trips() {
@@ -535,38 +167,5 @@ mod tests {
         });
         producer.join().unwrap();
         assert_eq!(consumer.join().unwrap(), 500 * 499 / 2);
-    }
-
-    #[test]
-    fn measure_mesa_baseline() {
-        let m = measure(tiny(), Mode::Mesa);
-        assert!(m.elapsed > Nanos::ZERO);
-    }
-
-    #[test]
-    fn split_distributes_remainder() {
-        assert_eq!(split(10, 3), vec![4, 3, 3]);
-        assert_eq!(split(9, 3), vec![3, 3, 3]);
-        assert_eq!(split(5, 1), vec![5]);
-    }
-
-    #[test]
-    fn measure_plain_and_recording() {
-        let p = measure(tiny(), Mode::Plain);
-        assert!(p.elapsed > Nanos::ZERO);
-        assert_eq!(p.ops, 400);
-        let r = measure(tiny(), Mode::RecordingOnly);
-        assert!(r.elapsed > Nanos::ZERO);
-    }
-
-    #[test]
-    fn measure_full_with_fast_checker() {
-        let m = measure(tiny(), Mode::Full { interval: Duration::from_millis(5) });
-        assert!(m.ns_per_op > 0.0);
-    }
-
-    #[test]
-    fn workload_total_ops() {
-        assert_eq!(Workload::default().total_ops(), 8_000);
     }
 }

@@ -59,7 +59,7 @@ use rmon_core::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// What to do when a real-time calling-order check flags a call.
@@ -137,6 +137,9 @@ pub(crate) struct RtInner {
     /// never blocks or panics on a failing journal; operators watch
     /// this counter ([`Runtime::journal_errors`]).
     journal_errors: AtomicU64,
+    /// The first failed append's kind and message
+    /// ([`Runtime::first_journal_error`]).
+    first_journal_error: OnceLock<(std::io::ErrorKind, String)>,
 }
 
 /// What one barrier at a time works with, behind the checkpoint lock.
@@ -303,11 +306,13 @@ impl RtInner {
         }
     }
 
-    /// Folds a journal append result into the error counter — the
-    /// journal is an observer, never a gate on detection.
+    /// Folds a journal append result into the error counter, keeping
+    /// the first error — the journal is an observer, never a gate on
+    /// detection.
     fn journal_try(&self, result: std::io::Result<()>) {
-        if result.is_err() {
+        if let Err(e) = result {
             self.journal_errors.fetch_add(1, Ordering::Relaxed);
+            self.first_journal_error.get_or_init(|| (e.kind(), e.to_string()));
         }
     }
 
@@ -453,41 +458,6 @@ impl RtInner {
     /// three lookups per monitor per sweep, so this is O(1)).
     fn find_monitor(&self, monitor: MonitorId) -> Option<Arc<RawCore>> {
         self.monitors.lock().get(&monitor)?.upgrade()
-    }
-
-    /// The paper-faithful (§3.1, unoptimized) checking routine: keeps
-    /// the **entire** recorded history and re-checks all of it against
-    /// the declarative FD-Rules on every invocation, while all monitor
-    /// operations are suspended. Provided for the Table-1 ablation —
-    /// the §3.3 checking lists exist precisely to avoid this cost.
-    pub(crate) fn checkpoint_full_history(&self, history: &mut Vec<Event>) -> u64 {
-        let monitors = self.live_monitors();
-        let suspended = Instant::now();
-        let guards: Vec<_> = monitors.iter().map(|core| core.suspend()).collect();
-        let now = self.recorder.now();
-        history.extend(self.recorder.drain_window());
-        let cfg = self.cfg;
-        let mut checked = 0u64;
-        for (core, guard) in monitors.iter().zip(&guards) {
-            let id = core.id();
-            let events: Vec<Event> = history.iter().filter(|e| e.monitor == id).copied().collect();
-            checked += events.len() as u64;
-            let snapshot = RawCore::snapshot_of(guard);
-            let violations = rmon_core::reference::check_history(
-                id,
-                core.spec(),
-                &cfg,
-                &events,
-                Some(&snapshot),
-                now,
-            );
-            if !violations.is_empty() {
-                self.realtime.lock().extend(violations);
-            }
-        }
-        drop(guards);
-        self.pause.record(suspended.elapsed());
-        checked
     }
 
     /// Runs one checkpoint barrier over the monitors in `scope` — the
@@ -878,6 +848,14 @@ impl Runtime {
     pub fn journal_errors(&self) -> u64 {
         self.inner.journal_errors.load(Ordering::Relaxed)
     }
+
+    /// The kind and message of the first journal append that failed,
+    /// `None` while [`Self::journal_errors`] is zero. `InvalidInput` is
+    /// a record the sink refused as past its size cap; any other kind
+    /// is an OS append or fsync failure.
+    pub fn first_journal_error(&self) -> Option<(std::io::ErrorKind, String)> {
+        self.inner.first_journal_error.get().cloned()
+    }
 }
 
 /// Builder for [`Runtime`].
@@ -1029,6 +1007,7 @@ impl RuntimeBuilder {
                 barrier: Mutex::new(BarrierState::default()),
                 pause: PauseCounters::default(),
                 journal_errors: AtomicU64::new(0),
+                first_journal_error: OnceLock::new(),
             }),
         };
         rt.inner.backend.set_snapshot_provider(rt.snapshot_provider());
@@ -1434,6 +1413,51 @@ mod tests {
         let records = sink.records();
         assert!(matches!(records.last().unwrap(), Record::Checkpoint { .. }));
         assert_eq!(records.len(), 6);
+        assert_eq!(rt.first_journal_error(), None);
+    }
+
+    /// A journal whose every append fails the way a full disk does.
+    #[derive(Debug)]
+    struct FailingSink;
+
+    impl EventSink for FailingSink {
+        fn append_epoch(&self, _: Nanos) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk gone"))
+        }
+        fn append_register(&self, _: MonitorId, _: &str, _: Nanos) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk gone"))
+        }
+        fn append_events(&self, _: &[Event]) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk gone"))
+        }
+    }
+
+    impl ViolationSink for FailingSink {
+        fn append_realtime(&self, _: &[Violation]) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk gone"))
+        }
+        fn append_checkpoint(
+            &self,
+            _: Nanos,
+            _: &HashMap<MonitorId, MonitorState>,
+            _: &FaultReport,
+        ) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk gone"))
+        }
+    }
+
+    #[test]
+    fn a_failing_journal_is_counted_with_its_first_error() {
+        let rt = Runtime::builder(DetectorConfig::without_timeouts())
+            .journal(Arc::new(FailingSink))
+            .build();
+        let al = crate::ResourceAllocator::new(&rt, "res", 1);
+        let _ = al.release(); // U1: a verdict to journal
+        let _ = rt.checkpoint_now();
+        assert!(rt.journal_errors() >= 1);
+        assert_eq!(rt.first_journal_error(), Some((std::io::ErrorKind::Other, "disk gone".into())));
+        // Detection does not depend on the journal.
+        assert!(!rt.is_clean());
     }
 
     /// `commit_window` as it was: every `seq` of the window into a

@@ -109,6 +109,8 @@ pub struct SoakReport {
     pub segments: usize,
     /// Journal append failures across all phases (should be zero).
     pub journal_errors: u64,
+    /// The kind and message of the first of them.
+    pub first_journal_error: Option<(io::ErrorKind, String)>,
     /// RSS at the first sample, in KiB (0 where `/proc` is absent).
     pub first_rss_kb: u64,
     /// Peak sampled RSS, in KiB (0 where `/proc` is absent).
@@ -120,7 +122,7 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// The run's pass criterion: no journal errors, no mid-log
+    /// Whether the run passed: no journal errors, no mid-log
     /// corruption, and the replay reproduced the recorded verdicts.
     pub fn passed(&self) -> bool {
         self.journal_errors == 0 && !self.read.stopped_mid_log && self.replay.matches()
@@ -255,6 +257,9 @@ fn run_phase(
     report.checkpoints += 1;
     report.events_recorded += rt.events_recorded();
     report.journal_errors += rt.journal_errors();
+    if report.first_journal_error.is_none() {
+        report.first_journal_error = rt.first_journal_error();
+    }
     report.rotated += sink.rotated();
     report.segments = sink.segment_count();
     report.phases += 1;
@@ -275,6 +280,7 @@ pub fn run_soak(dir: &Path, cfg: &SoakConfig) -> io::Result<SoakReport> {
         rotated: 0,
         segments: 0,
         journal_errors: 0,
+        first_journal_error: None,
         first_rss_kb: 0,
         max_rss_kb: 0,
         replay: ReplayOutcome::default(),
@@ -336,7 +342,7 @@ mod tests {
         };
         let report = run_soak(&dir, &cfg).unwrap();
         assert_eq!(report.phases, 3);
-        assert_eq!(report.journal_errors, 0);
+        assert_eq!(report.journal_errors, 0, "first error: {:?}", report.first_journal_error);
         assert_eq!(report.crash_injections, 3);
         assert!(report.rotated > 0, "4 KiB segments must rotate: {report:?}");
         assert_eq!(report.replay.epochs, 3, "one epoch per phase: {:?}", report.replay);

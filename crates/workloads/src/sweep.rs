@@ -9,8 +9,7 @@
 
 use crate::producer_consumer::PcWorkload;
 use rmon_core::detect::{
-    CheckpointScope, DetectionBackend, Detector, ScheduledBackend, SchedulerConfig, ServiceConfig,
-    ServiceStats, ShardedBackend, SnapshotProvider, SnapshotTable,
+    CheckpointScope, DetectionBackend, Detector, ServiceStats, SnapshotProvider, SnapshotTable,
 };
 use rmon_core::{
     DetectorConfig, Event, FaultReport, MonitorId, MonitorSpec, MonitorState, Nanos, Pid,
@@ -402,36 +401,6 @@ pub fn drive_fleet_checkpointed(
     (report, stats, FleetTiming { ingest, total })
 }
 
-/// Drives a [`FleetTrace`] through a fresh [`ShardedBackend`] with the
-/// given shard count and per-handle ingest batch.
-pub fn drive_sharded_fleet(
-    fleet: &FleetTrace,
-    shards: usize,
-    batch: usize,
-) -> (FaultReport, ServiceStats, FleetTiming) {
-    let backend =
-        ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(shards))
-            .with_batch(batch);
-    drive_fleet_backend(fleet, &backend)
-}
-
-/// Drives a [`FleetTrace`] through a fresh [`ScheduledBackend`] (the
-/// sharded service plus the per-shard checkpoint scheduler) with the
-/// given shard count and per-handle ingest batch.
-pub fn drive_scheduled_fleet(
-    fleet: &FleetTrace,
-    shards: usize,
-    batch: usize,
-) -> (FaultReport, ServiceStats, FleetTiming) {
-    let backend = ScheduledBackend::new(
-        DetectorConfig::without_timeouts(),
-        ServiceConfig::new(shards),
-        SchedulerConfig::default(),
-    )
-    .with_batch(batch);
-    drive_fleet_backend(fleet, &backend)
-}
-
 /// Drives a fleet of **real-thread** allocator monitors from
 /// `threads` concurrent OS threads through one [`rmon_rt::Runtime`] —
 /// the end-to-end exercise of the sharded recording pipeline: every
@@ -473,21 +442,6 @@ pub fn drive_rt_fleet(
     let report = rt.checkpoint_now();
     let stats = rt.service_stats();
     (report, stats, rt.events_recorded())
-}
-
-/// [`drive_inline_fleet`] without the timing split.
-pub fn run_inline_fleet(fleet: &FleetTrace) -> FaultReport {
-    drive_inline_fleet(fleet).0
-}
-
-/// [`drive_sharded_fleet`] without the timing split.
-pub fn run_sharded_fleet(
-    fleet: &FleetTrace,
-    shards: usize,
-    batch: usize,
-) -> (FaultReport, ServiceStats) {
-    let (report, stats, _) = drive_sharded_fleet(fleet, shards, batch);
-    (report, stats)
 }
 
 /// A tiny deterministic xorshift for seeded-schedule choices.
@@ -607,6 +561,12 @@ pub fn seeded_allocator_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmon_core::detect::{ScheduledBackend, SchedulerConfig, ServiceConfig, ShardedBackend};
+
+    fn sharded(shards: usize, batch: usize) -> ShardedBackend {
+        ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(shards))
+            .with_batch(batch)
+    }
 
     #[test]
     fn pc_trace_is_nonempty_and_consistent() {
@@ -662,10 +622,10 @@ mod tests {
     #[test]
     fn clean_fleet_is_clean_inline_and_sharded() {
         let fleet = fleet_trace(8, 3, 7);
-        let inline = run_inline_fleet(&fleet);
+        let (inline, _) = drive_inline_fleet(&fleet);
         assert!(inline.is_clean(), "{inline}");
         for shards in [1, 2, 4] {
-            let (report, stats) = run_sharded_fleet(&fleet, shards, 64);
+            let (report, stats, _) = drive_fleet_backend(&fleet, &sharded(shards, 64));
             assert!(report.is_clean(), "shards={shards}: {report}");
             assert_eq!(report.events_checked, inline.events_checked, "shards={shards}");
             assert_eq!(stats.total_events(), fleet.events.len() as u64);
@@ -676,7 +636,7 @@ mod tests {
     #[test]
     fn sharded_fleet_spreads_monitors_across_shards() {
         let fleet = fleet_trace(16, 2, 3);
-        let (_, stats) = run_sharded_fleet(&fleet, 4, 32);
+        let (_, stats, _) = drive_fleet_backend(&fleet, &sharded(4, 32));
         assert_eq!(stats.shards.iter().map(|s| s.monitors).sum::<u64>(), 16);
         assert!(stats.active_shards() >= 2, "16 monitors must load ≥2 of 4 shards: {stats:?}");
     }
@@ -690,7 +650,7 @@ mod tests {
         for w in a.events.windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
-        let (report, _, _) = drive_sharded_fleet(&a, 2, 64);
+        let (report, _, _) = drive_fleet_backend(&a, &sharded(2, 64));
         assert!(!report.is_clean(), "the injected U1/U3 faults must be detected");
     }
 
@@ -717,8 +677,6 @@ mod tests {
 
     #[test]
     fn rt_fleet_records_from_many_threads_and_stays_clean() {
-        use rmon_core::detect::{ServiceConfig, ShardedBackend};
-        use std::sync::Arc;
         for (label, rt) in [
             ("inline", rmon_rt::Runtime::new(DetectorConfig::without_timeouts())),
             (
@@ -771,10 +729,16 @@ mod tests {
     #[test]
     fn scheduled_fleet_matches_sharded_fleet() {
         let fleet = fleet_trace(8, 3, 7);
-        let (sharded, _, _) = drive_sharded_fleet(&fleet, 2, 64);
-        let (scheduled, stats, _) = drive_scheduled_fleet(&fleet, 2, 64);
-        assert_eq!(scheduled.events_checked, sharded.events_checked);
-        assert_eq!(scheduled.violations, sharded.violations);
+        let (want, _, _) = drive_fleet_backend(&fleet, &sharded(2, 64));
+        let backend = ScheduledBackend::new(
+            DetectorConfig::without_timeouts(),
+            ServiceConfig::new(2),
+            SchedulerConfig::default(),
+        )
+        .with_batch(64);
+        let (scheduled, stats, _) = drive_fleet_backend(&fleet, &backend);
+        assert_eq!(scheduled.events_checked, want.events_checked);
+        assert_eq!(scheduled.violations, want.violations);
         assert_eq!(stats.total_events(), fleet.events.len() as u64);
     }
 }

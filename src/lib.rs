@@ -17,7 +17,9 @@
 //! * [`sim`] (`rmon-sim`) — a deterministic monitor-kernel simulator
 //!   whose protocol can be fault-injected (all 21 classes);
 //! * [`rt`] (`rmon-rt`) — the robust monitor runtime for real threads
-//!   (hand-off monitor, recorder, periodic checker, overhead harness);
+//!   (hand-off monitor, recorder, periodic checker, and the
+//!   uninstrumented hand-off buffer Table 1's overhead ratio divides
+//!   by);
 //! * [`storage`] (`rmon-storage`) — the durable operations layer: an
 //!   append-only, CRC-framed, segmented oplog for events and verdicts,
 //!   crash recovery, and the differential replayer;

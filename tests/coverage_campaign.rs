@@ -6,7 +6,9 @@ use rmon::workloads::faultset;
 
 #[test]
 fn full_campaign_detects_every_injected_fault() {
-    let rows = faultset::run_campaign(&[0, 1, 2]);
+    // The seeds the `coverage` bin runs by default.
+    let seeds: Vec<u64> = (0..8).collect();
+    let rows = faultset::run_campaign(&seeds);
     assert_eq!(rows.len(), 21);
     for row in &rows {
         assert!(
@@ -24,6 +26,9 @@ fn full_campaign_detects_every_injected_fault() {
             row.rules
         );
     }
+    let injected: usize = rows.iter().map(|r| r.injected).sum();
+    let detected: usize = rows.iter().map(|r| r.detected).sum();
+    assert_eq!((injected, detected), (161, 161), "all injected faults are detected");
 }
 
 #[test]
@@ -59,7 +64,7 @@ fn campaign_rules_match_taxonomy_levels() {
 #[test]
 fn primary_rule_mapping_holds_under_engineered_schedule() {
     // Under the engineered round-robin interleaving, each fault's
-    // documented primary rules (DESIGN.md table) actually fire.
+    // documented primary rules (`FaultKind::detected_by`) actually fire.
     for fault in FaultKind::ALL {
         let outcome = faultset::run_case(fault, 0);
         assert!(

@@ -119,12 +119,15 @@ fn code_spans(line: &str) -> Vec<(&str, &str)> {
     (1..parts.len().saturating_sub(1)).step_by(2).map(|i| (parts[i], parts[i + 1])).collect()
 }
 
-/// Whether a code span quotes a path into this repository.
+/// Whether a code span quotes a path into this repository: one under a
+/// top-level directory, or a top-level `.json`, `.md` or `.toml` file.
 fn is_repo_path(span: &str) -> bool {
     const ROOTS: [&str; 7] =
         ["crates/", "tests/", "examples/", "docs/", "vendor/", "layerbench/", "src/"];
+    const TOP_LEVEL: [&str; 3] = [".json", ".md", ".toml"];
+    let top_level = !span.contains('/') && TOP_LEVEL.iter().any(|ext| span.ends_with(ext));
     // A glob (`vendor/*`) names no one file.
-    ROOTS.iter().any(|root| span.starts_with(root))
+    (top_level || ROOTS.iter().any(|root| span.starts_with(root)))
         && !span.contains(|c: char| c.is_whitespace() || c == '*')
 }
 
@@ -217,6 +220,8 @@ fn pointer_helpers_parse_spans_braces_and_items() {
     assert_eq!(spans, ["a::B", "c()", "crates/x/src/y.rs", "tests/{p,q}_z.rs"]);
     assert_eq!(code_spans(line)[0].1, " / ");
     assert!(is_repo_path("crates/x/src/y.rs") && !is_repo_path("cargo run -p x"));
+    assert!(is_repo_path("BENCHMARK.json") && is_repo_path("Cargo.toml"));
+    assert!(!is_repo_path("BENCH_*.json") && !is_repo_path("out/run.json"));
     assert_eq!(expand_braces("tests/{p,q}_z.rs"), ["tests/p_z.rs", "tests/q_z.rs"]);
     assert_eq!((item_name("a::B"), item_name("c()"), item_name("m!")), ("B", "c", "m"));
     let source = "pub struct Bee;\npub(crate) fn c() {}\nmacro_rules! m { () => {} }";
