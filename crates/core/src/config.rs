@@ -58,9 +58,9 @@ impl PredictMode {
 ///   unchanged — only their latency moves.
 ///
 /// The default is `Sync` (paper-faithful). Backends that support
-/// per-monitor modes (the `AsyncBackend`) treat the config value as
-/// the *base* mode and may tighten individual monitors toward `Sync`
-/// when they look close to a violation.
+/// per-monitor modes (the `AsyncBackend`) register every monitor in
+/// the config value; a monitor's mode then changes only when the
+/// backend's owner sets it (`AsyncBackend::set_mode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Mode {
     /// Block until the event reaches the detector (paper-faithful).
@@ -116,7 +116,7 @@ pub struct DetectorConfig {
     pub check_interval: Nanos,
     /// Predictive-detection mode (default [`PredictMode::Off`]).
     pub predict: PredictMode,
-    /// Base instrumentation mode (default [`Mode::Sync`],
+    /// Instrumentation mode every monitor starts in (default [`Mode::Sync`],
     /// paper-faithful). Only mode-aware backends consult it; the
     /// inline detector is synchronous by construction.
     pub mode: Mode,

@@ -302,10 +302,14 @@ pub trait ProducerHandle: Send + std::fmt::Debug {
     /// event (and the rest of the batch) stays buffered for a later
     /// retry; nothing is ever dropped by backpressure.
     ///
-    /// The default forwards to the blocking [`Self::observe`] and
-    /// reports [`Backpressure::Accepted`] — correct for handles that
-    /// never block on a queue (the inline backend's synchronous
-    /// handle).
+    /// The default forwards to [`Self::observe`] and reports
+    /// [`Backpressure::Accepted`] — correct for handles that never
+    /// block on a full queue: the inline backend's synchronous handle,
+    /// and the queued handle of an
+    /// [`AsyncBackend`](crate::detect::AsyncBackend). A queued handle
+    /// has no backpressure; it waits only as long as the monitor's
+    /// [`Mode`] says: until delivery for `Sync`, up to the bound for
+    /// `Hybrid`, not at all for `Async`.
     fn try_observe(&mut self, event: Event) -> Backpressure {
         self.observe(event);
         Backpressure::Accepted
@@ -460,9 +464,9 @@ pub trait DetectionBackend: Send + Sync + std::fmt::Debug {
 
     /// The instrumentation [`Mode`] a monitor's observers should use
     /// *right now*. The paper's detector is synchronous, so the
-    /// default is [`Mode::Sync`]; mode-aware backends (the
-    /// `AsyncBackend`) answer from their per-monitor mode cells, which
-    /// the adaptive controller may move between checkpoints. Embedding
+    /// default is [`Mode::Sync`]; the shard core answers its configured
+    /// `DetectorConfig::mode`, and an `AsyncBackend` the monitor's mode
+    /// cell, which only its owner's `set_mode` moves. Embedding
     /// runtimes consult this on the record path to decide how long a
     /// monitor operation blocks on event hand-off.
     fn instrumentation_mode(&self, monitor: MonitorId) -> Mode {

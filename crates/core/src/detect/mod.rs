@@ -32,8 +32,9 @@
 //! buffers). It has two implementations: [`InlineBackend`], and the
 //! shard core, whose configurations are named [`ShardedBackend`],
 //! [`ScheduledBackend`] (the core with a checkpoint ticker) and
-//! [`AsyncBackend`] (the core with queued ingest and per-monitor
-//! instrumentation [`mode`]s). The checkpoint half of the API is a trait
+//! [`AsyncBackend`] (the core with queued ingest and a per-monitor
+//! instrumentation [`Mode`](crate::Mode) that only its owner sets).
+//! The checkpoint half of the API is a trait
 //! pair of its own: a [`SnapshotProvider`] supplies live monitor-state
 //! observations (the paper's `s_t`) and
 //! [`DetectionBackend::checkpoint`] runs the full Algorithm-1/2/timer
@@ -45,7 +46,6 @@ pub mod algorithm2;
 pub mod algorithm3;
 pub mod backend;
 mod engine;
-pub mod mode;
 pub mod predict;
 pub mod shard;
 
@@ -54,8 +54,7 @@ pub use backend::{
     ProducerHandle, SnapshotProvider, SnapshotTable,
 };
 pub use engine::{Detector, MonitorChecker};
-pub use mode::{ModeController, ModePolicy};
 pub use shard::{
-    AdaptiveBatch, AsyncBackend, ClockFn, Observe, ScheduledBackend, SchedulerConfig,
-    ServiceConfig, ServiceStats, ShardStats, ShardedBackend,
+    AsyncBackend, ClockFn, ScheduledBackend, SchedulerConfig, ServiceConfig, ServiceStats,
+    ShardStats, ShardedBackend,
 };

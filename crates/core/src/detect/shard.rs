@@ -26,7 +26,7 @@
 //!   on an unbounded per-shard delivery queue that a plain drain thread
 //!   empties into the inbox, so an enqueue never blocks, and a
 //!   per-monitor [`Mode`] decides how long the observer then waits on
-//!   its delivery ticket ([`Observe`]). Every barrier first
+//!   its event's delivery ticket. Every barrier first
 //!   [quiesces](ShardCore::quiesce) the queues, so asynchrony moves
 //!   detection latency, never detection results.
 //! * **Checkpoint cadence** — who invokes the checking routine. The
@@ -91,7 +91,6 @@ use crate::detect::backend::{
     gather_snapshots, lock, Backpressure, CheckpointScope, DetectionBackend, ProducerHandle,
     ProviderSlot, SnapshotProvider,
 };
-use crate::detect::mode::{ModeCell, ModeController, ModePolicy};
 use crate::detect::Detector;
 use crate::event::Event;
 use crate::ids::{MonitorId, Pid, ProcName};
@@ -425,82 +424,6 @@ fn handle_shard_msg(
 // Bounded blocking ingest: buffered per-thread handles
 // ---------------------------------------------------------------------
 
-/// Grow/shrink policy for a producer handle's ingest batch size,
-/// driven by channel pressure.
-///
-/// A fixed batch size is a latency/throughput compromise chosen
-/// blind: small batches keep detection latency low but pay one channel
-/// send per few events; large batches amortize the sends but hold
-/// events back. The adaptive policy lets each handle find its own
-/// operating point from the only signal that matters — whether the
-/// shard inboxes are keeping up:
-///
-/// * a flush that found **no pressure** (every shard accepted its
-///   batch without blocking) **doubles** the batch, up to `max` —
-///   the shards are keeping up, so trade latency for throughput;
-/// * a flush that **hit pressure** (some shard's bounded inbox was
-///   full and the send had to block) **halves** the batch, down to
-///   `min` — the checkers are behind, so stop accumulating latency on
-///   top of backpressure.
-///
-/// The doubling/halving curve is pinned by unit test; handles start at
-/// `min` so an idle stream keeps its latency floor.
-///
-/// # Examples
-///
-/// ```
-/// use rmon_core::detect::AdaptiveBatch;
-///
-/// let mut b = AdaptiveBatch::new(2, 16);
-/// assert_eq!(b.current(), 2);
-/// assert_eq!(b.on_flush(false), 4); // no pressure: grow
-/// assert_eq!(b.on_flush(false), 8);
-/// assert_eq!(b.on_flush(true), 4); // pressure: shrink
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveBatch {
-    min: usize,
-    max: usize,
-    current: usize,
-}
-
-impl AdaptiveBatch {
-    /// A policy bounded by `[min, max]` (both clamped to at least 1,
-    /// `max` to at least `min`), starting at `min`.
-    pub fn new(min: usize, max: usize) -> Self {
-        let min = min.max(1);
-        let max = max.max(min);
-        AdaptiveBatch { min, max, current: min }
-    }
-
-    /// The batch size the next flush threshold uses.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// The lower bound.
-    pub fn min(&self) -> usize {
-        self.min
-    }
-
-    /// The upper bound.
-    pub fn max(&self) -> usize {
-        self.max
-    }
-
-    /// Feeds one flush outcome into the policy and returns the new
-    /// batch size: halve on pressure (floor `min`), double otherwise
-    /// (cap `max`).
-    pub fn on_flush(&mut self, pressured: bool) -> usize {
-        self.current = if pressured {
-            (self.current / 2).max(self.min)
-        } else {
-            (self.current * 2).min(self.max)
-        };
-        self.current
-    }
-}
-
 /// The sharded backends' buffered handle: per-shard buffers drained by
 /// one channel send per shard per batch.
 #[derive(Debug)]
@@ -509,9 +432,6 @@ struct ShardedProducer {
     bufs: Vec<Vec<Event>>,
     buffered: usize,
     batch: usize,
-    /// Per-handle adaptive policy (each handle adapts to the pressure
-    /// *it* observes; handles share no state).
-    adaptive: Option<AdaptiveBatch>,
     /// A previous `try_flush` left a retained batch behind. While set,
     /// every `try_observe` re-attempts delivery regardless of the
     /// flush threshold — a handle whose retained batch dropped
@@ -539,30 +459,17 @@ impl ProducerHandle for ShardedProducer {
         if self.buffered == 0 {
             return;
         }
-        let mut pressured = false;
         for (shard, buf) in self.bufs.iter_mut().enumerate() {
             if !buf.is_empty() {
-                // Probe without blocking first: a full inbox is the
-                // pressure signal the adaptive policy feeds on. The
-                // batch is then delivered with a blocking send — the
-                // same backpressure as before. A disconnected channel
-                // means the worker shut down; the events are dropped
-                // exactly like post-shutdown observes.
-                match self.senders[shard].try_send(ShardMsg::Batch(std::mem::take(buf))) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(msg)) => {
-                        pressured = true;
-                        let _ = self.senders[shard].send(msg);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {}
-                }
+                // A full inbox blocks here: backpressure. A
+                // disconnected channel means the worker shut down; the
+                // events are dropped exactly like post-shutdown
+                // observes.
+                let _ = self.senders[shard].send(ShardMsg::Batch(std::mem::take(buf)));
             }
         }
         self.buffered = 0;
         self.pressured = false;
-        if let Some(policy) = &mut self.adaptive {
-            self.batch = policy.on_flush(pressured);
-        }
     }
 
     fn try_observe(&mut self, event: Event) -> Backpressure {
@@ -609,12 +516,6 @@ impl ProducerHandle for ShardedProducer {
         }
         self.buffered = self.bufs.iter().map(Vec::len).sum();
         self.pressured = pressured;
-        // Pressure feeds the same adaptive policy as a blocking flush —
-        // a refused hand-off halves the batch exactly like a blocking
-        // one (pinned by unit test).
-        if let Some(policy) = &mut self.adaptive {
-            self.batch = policy.on_flush(pressured);
-        }
         if pressured {
             Backpressure::Full
         } else {
@@ -644,7 +545,11 @@ impl Drop for ShardedProducer {
 // ---------------------------------------------------------------------
 
 /// One event's delivery ticket: resolved when the event has been
-/// handed to its shard worker's inbox.
+/// handed to its shard worker's inbox. The event was enqueued when the
+/// ticket was issued, so giving up the wait never cancels delivery.
+/// The three instrumentation modes are three ways of holding one:
+/// [`Mode::Sync`] waits, [`Mode::Hybrid`] waits up to its timeout,
+/// [`Mode::Async`] never asks for one.
 #[derive(Debug, Default)]
 struct DeliveryState {
     done: Mutex<bool>,
@@ -657,9 +562,8 @@ impl DeliveryState {
         self.cv.notify_all();
     }
 
-    /// Waits for delivery, for at most `timeout` when one is given;
-    /// returns whether the event was delivered.
-    fn wait(&self, timeout: Option<Nanos>) -> bool {
+    /// Waits for delivery, for at most `timeout` when one is given.
+    fn wait(&self, timeout: Option<Nanos>) {
         let deadline = timeout.map(|t| Instant::now() + t.to_duration());
         let mut done = lock(&self.done);
         while !*done {
@@ -668,43 +572,50 @@ impl DeliveryState {
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
-                        return false;
+                        return;
                     }
                     self.cv.wait_timeout(done, deadline - now).unwrap_or_else(|p| p.into_inner()).0
                 }
             };
         }
-        true
     }
 }
 
-/// The delivery ticket returned by [`AsyncBackend::observe`]: resolved
-/// once the event has reached its shard worker's inbox. The event was
-/// enqueued when the ticket was created — dropping the ticket detaches
-/// from the wait (fire-and-forget), it never cancels delivery. The
-/// three instrumentation modes are three ways of holding one:
-/// [`Mode::Sync`] [waits](Self::wait), [`Mode::Hybrid`] waits
-/// [up to its timeout](Self::wait_timeout), [`Mode::Async`] drops it.
+/// Lock-free mirror of a monitor's current [`Mode`], read by observers
+/// on every record. Tag in the top bits, Hybrid timeout in the low 62
+/// (timeouts saturate at ~146 years, which is not a real constraint).
 #[derive(Debug)]
-#[must_use = "dropping an Observe detaches from the delivery wait (the event is still delivered)"]
-pub struct Observe {
-    /// `None` when the backend had shut down: the event was dropped,
-    /// like every post-shutdown observe, and nothing is left to await.
-    state: Option<Arc<DeliveryState>>,
-}
+struct ModeCell(AtomicU64);
 
-impl Observe {
-    /// Blocks until the event has reached its shard worker.
-    pub fn wait(&self) {
-        if let Some(state) = &self.state {
-            state.wait(None);
-        }
+const MODE_TAG_SHIFT: u32 = 62;
+const MODE_SYNC: u64 = 0;
+const MODE_ASYNC: u64 = 1;
+const MODE_HYBRID: u64 = 2;
+const MODE_VALUE_MASK: u64 = (1 << MODE_TAG_SHIFT) - 1;
+
+impl ModeCell {
+    fn new(mode: Mode) -> Self {
+        let cell = ModeCell(AtomicU64::new(0));
+        cell.store(mode);
+        cell
     }
 
-    /// Blocks until the event has reached its shard worker or
-    /// `timeout` has passed; returns whether it was delivered in time.
-    pub fn wait_timeout(&self, timeout: Nanos) -> bool {
-        self.state.as_ref().is_none_or(|state| state.wait(Some(timeout)))
+    fn store(&self, mode: Mode) {
+        let bits = match mode {
+            Mode::Sync => MODE_SYNC << MODE_TAG_SHIFT,
+            Mode::Async => MODE_ASYNC << MODE_TAG_SHIFT,
+            Mode::Hybrid(t) => (MODE_HYBRID << MODE_TAG_SHIFT) | (t.as_nanos() & MODE_VALUE_MASK),
+        };
+        self.0.store(bits, Ordering::Release);
+    }
+
+    fn load(&self) -> Mode {
+        let bits = self.0.load(Ordering::Acquire);
+        match bits >> MODE_TAG_SHIFT {
+            MODE_SYNC => Mode::Sync,
+            MODE_ASYNC => Mode::Async,
+            _ => Mode::Hybrid(Nanos::new(bits & MODE_VALUE_MASK)),
+        }
     }
 }
 
@@ -770,7 +681,7 @@ impl QuiesceCounter {
 /// The queued ingest policy's state, shared by the core, its handles
 /// and the drain threads: the per-shard queues, the outstanding-
 /// delivery count every barrier waits on, and the per-monitor
-/// instrumentation modes with the controllers that move them.
+/// instrumentation modes.
 #[derive(Debug)]
 struct Delivery {
     queues: Vec<ShardQueue>,
@@ -778,55 +689,29 @@ struct Delivery {
     /// The core's intake flag (the same one buffered handles read).
     open: Arc<AtomicBool>,
     /// Per registered monitor: the mode cell observers read on the
-    /// observe path, and the adaptive state that moves it at
-    /// checkpoints.
-    monitors: Mutex<HashMap<MonitorId, (Arc<ModeCell>, ModeController)>>,
-    /// Monitors that showed a near-violation signal since the last
-    /// checkpoint (denied calls, drained violations).
-    signals: Mutex<HashSet<MonitorId>>,
-    /// The mode monitors start in and relax back to.
+    /// observe path. Only [`AsyncBackend::set_mode`] moves it.
+    modes: Mutex<HashMap<MonitorId, Arc<ModeCell>>>,
+    /// The mode monitors are registered in (`DetectorConfig::mode`).
     base: Mode,
-    policy: ModePolicy,
 }
 
 impl Delivery {
-    fn new(shards: usize, base: Mode, policy: ModePolicy, open: Arc<AtomicBool>) -> Self {
+    fn new(shards: usize, base: Mode, open: Arc<AtomicBool>) -> Self {
         Delivery {
             queues: (0..shards).map(|_| ShardQueue::default()).collect(),
             quiesce: QuiesceCounter::default(),
             open,
-            monitors: Mutex::new(HashMap::new()),
-            signals: Mutex::new(HashSet::new()),
+            modes: Mutex::new(HashMap::new()),
             base,
-            policy,
         }
     }
 
     fn mode_cell(&self, monitor: MonitorId) -> Option<Arc<ModeCell>> {
-        lock(&self.monitors).get(&monitor).map(|(cell, _)| Arc::clone(cell))
-    }
-
-    fn mode_of(&self, monitor: MonitorId) -> Mode {
-        self.mode_cell(monitor).map(|c| c.load()).unwrap_or(self.base)
-    }
-
-    fn set_mode(&self, monitor: MonitorId, mode: Mode) {
-        if let Some((cell, controller)) = lock(&self.monitors).get_mut(&monitor) {
-            cell.store(mode);
-            *controller = ModeController::new(mode, self.policy.relax_after);
-        }
+        lock(&self.modes).get(&monitor).map(Arc::clone)
     }
 
     fn register(&self, monitor: MonitorId) {
-        let state = (
-            Arc::new(ModeCell::new(self.base)),
-            ModeController::new(self.base, self.policy.relax_after),
-        );
-        lock(&self.monitors).insert(monitor, state);
-    }
-
-    fn signal(&self, monitor: MonitorId) {
-        lock(&self.signals).insert(monitor);
+        lock(&self.modes).insert(monitor, Arc::new(ModeCell::new(self.base)));
     }
 
     /// Enqueues one event for delivery, returning a ticket when
@@ -900,42 +785,14 @@ impl Delivery {
             queue.cv.notify_all();
         }
     }
-
-    /// Runs the adaptive controller over one checkpoint outcome:
-    /// consume the accumulated signals, add the monitors the report
-    /// indicts and the shards whose queues ran deep, then tighten or
-    /// relax every in-scope monitor.
-    fn adapt(&self, scope: CheckpointScope, report: &FaultReport) {
-        let shards = self.queues.len();
-        let mut signaled: HashSet<MonitorId> = std::mem::take(&mut *lock(&self.signals));
-        signaled.extend(report.violations.iter().map(|v| v.monitor));
-        signaled.extend(report.predicted.iter().map(|p| p.violation.monitor));
-        let deep: Vec<usize> = (0..shards)
-            .filter(|&shard| {
-                lock(&self.queues[shard].state).items.len() > self.policy.queue_high_water
-            })
-            .collect();
-        for (&monitor, (cell, controller)) in lock(&self.monitors).iter_mut() {
-            let shard = shard_for(monitor, shards);
-            let in_scope = match scope {
-                CheckpointScope::All => true,
-                CheckpointScope::Shard(s) => shard == s,
-                CheckpointScope::Monitor(m) => monitor == m,
-            };
-            if !in_scope {
-                continue;
-            }
-            cell.store(
-                controller.on_checkpoint(signaled.contains(&monitor) || deep.contains(&shard)),
-            );
-        }
-    }
 }
 
 /// The queued core's handle: every enqueue is a short lock on the
 /// owning shard's queue — never a blocking channel send — and the
 /// per-monitor mode cell decides how long [`ProducerHandle::observe`]
-/// then waits on the delivery ticket.
+/// then waits on the delivery ticket. `try_observe` is the trait's
+/// default, `observe`: the unbounded queue never pushes back, so the
+/// only wait is the one the monitor's mode asks for.
 #[derive(Debug)]
 struct QueuedProducer {
     delivery: Arc<Delivery>,
@@ -968,13 +825,6 @@ impl ProducerHandle for QueuedProducer {
 
     fn flush(&mut self) {
         self.delivery.quiesce.wait_zero();
-    }
-
-    fn try_observe(&mut self, event: Event) -> Backpressure {
-        // The never-block path: enqueue fire-and-forget. The unbounded
-        // queue always accepts, so there is no Full to report.
-        let _ = self.delivery.enqueue(event, false);
-        Backpressure::Accepted
     }
 
     fn try_flush(&mut self) -> Backpressure {
@@ -1213,12 +1063,9 @@ struct Threads {
 /// Dropping the core shuts it down.
 #[derive(Debug)]
 pub struct ShardCore<const FLAVOR: u8> {
-    /// The configured base instrumentation mode.
+    /// The configured instrumentation mode.
     mode: Mode,
     shared: Arc<Shared>,
-    /// When set, new buffered handles adapt their batch between these
-    /// bounds instead of using the fixed batch.
-    adaptive: Option<AdaptiveBatch>,
     threads: Mutex<Threads>,
 }
 
@@ -1248,28 +1095,24 @@ pub type ScheduledBackend = ShardCore<SCHEDULED>;
 
 /// The core with queued ingest: unbounded per-shard delivery queues and
 /// their drain threads decouple the observing threads from the bounded
-/// shard inboxes, and a per-monitor [`Mode`] — moved by an adaptive
-/// [`ModeController`] that tightens monitors toward [`Mode::Sync`] near
-/// violations (see [`crate::detect::mode`]) — decides how long each
-/// observer waits on its event's delivery ticket.
+/// shard inboxes, and a per-monitor [`Mode`] — `DetectorConfig::mode`
+/// at registration, changed only by [`AsyncBackend::set_mode`] —
+/// decides how long each observer waits on its event's delivery ticket.
 ///
 /// The paper's instrumentation is fully synchronous: every monitor
 /// operation blocks until its event has reached the detector, which
 /// collapses ingest under producer fan-in. The detectEr line of work
-/// makes the sync/async choice a *per-monitor runtime knob* and pays
-/// for tight coupling only where a violation looks close; this is that
-/// knob.
+/// makes the sync/async choice a *per-monitor knob*; this is that knob.
 pub type AsyncBackend = ShardCore<ASYNC>;
 
 impl<const FLAVOR: u8> ShardCore<FLAVOR> {
     /// Spawns `service.shards` worker threads, each owning a private
     /// [`Detector`] built from `cfg`, then one drain thread per shard if
-    /// a `policy` asks for queued ingest and the ticker if a `schedule`
-    /// is given.
+    /// `queued` and the ticker if a `schedule` is given.
     fn spawn(
         cfg: DetectorConfig,
         service: ServiceConfig,
-        policy: Option<ModePolicy>,
+        queued: bool,
         schedule: Option<(SchedulerConfig, ClockFn)>,
     ) -> Self {
         let shards = service.shards.max(1);
@@ -1292,8 +1135,7 @@ impl<const FLAVOR: u8> ShardCore<FLAVOR> {
             collector,
             directory: Mutex::new(Vec::new()),
             provider: ProviderSlot::default(),
-            delivery: policy
-                .map(|policy| Arc::new(Delivery::new(shards, cfg.mode, policy, Arc::clone(&open)))),
+            delivery: queued.then(|| Arc::new(Delivery::new(shards, cfg.mode, Arc::clone(&open)))),
             open,
             batch: AtomicUsize::new(DEFAULT_INGEST_BATCH),
             sweeps: schedule.is_some().then(Sweeps::default),
@@ -1317,18 +1159,16 @@ impl<const FLAVOR: u8> ShardCore<FLAVOR> {
                 .expect("spawn scheduler ticker");
             threads.ticker = Some((stop, handle));
         }
-        ShardCore { mode: cfg.mode, shared, adaptive: None, threads: Mutex::new(threads) }
+        ShardCore { mode: cfg.mode, shared, threads: Mutex::new(threads) }
     }
 
     /// Overrides the events per hand-off (clamped to at least 1): how
     /// many events a producer handle created *after* the call buffers
     /// before flushing a batch to the shards, and how many a drain
-    /// thread takes from its queue per inbox message. Clears a
-    /// previously configured adaptive policy.
-    pub fn with_batch(mut self, batch: usize) -> Self {
+    /// thread takes from its queue per inbox message.
+    pub fn with_batch(self, batch: usize) -> Self {
         // Relaxed: the batch size publishes no other data.
         self.shared.batch.store(batch.max(1), Ordering::Relaxed);
-        self.adaptive = None;
         self
     }
 
@@ -1348,15 +1188,7 @@ impl ShardedBackend {
     /// Spawns the shard workers, with the default per-handle ingest
     /// batch ([`DEFAULT_INGEST_BATCH`]).
     pub fn new(cfg: DetectorConfig, service: ServiceConfig) -> Self {
-        Self::spawn(cfg, service, None, None)
-    }
-
-    /// Makes handles created after the call size their batches
-    /// adaptively between `min` and `max` based on channel pressure
-    /// (see [`AdaptiveBatch`]).
-    pub fn with_adaptive_batch(mut self, min: usize, max: usize) -> Self {
-        self.adaptive = Some(AdaptiveBatch::new(min, max));
-        self
+        Self::spawn(cfg, service, false, None)
     }
 }
 
@@ -1380,15 +1212,7 @@ impl ScheduledBackend {
         scheduler: SchedulerConfig,
         clock: ClockFn,
     ) -> Self {
-        Self::spawn(cfg, service, None, Some((scheduler, clock)))
-    }
-
-    /// Makes producer handles size their batches adaptively between
-    /// `min` and `max` based on channel pressure (see
-    /// [`AdaptiveBatch`]).
-    pub fn with_adaptive_batch(mut self, min: usize, max: usize) -> Self {
-        self.adaptive = Some(AdaptiveBatch::new(min, max));
-        self
+        Self::spawn(cfg, service, false, Some((scheduler, clock)))
     }
 
     /// Completed scheduler ticks (shard visits) so far.
@@ -1399,22 +1223,10 @@ impl ScheduledBackend {
 
 impl AsyncBackend {
     /// Spawns the shard workers plus one drain thread per shard.
-    /// `cfg.mode` is the base instrumentation mode monitors start in
-    /// and relax back to.
+    /// `cfg.mode` is the instrumentation mode every monitor is
+    /// registered in.
     pub fn new(cfg: DetectorConfig, service: ServiceConfig) -> Self {
-        AsyncBackend::with_policy(cfg, service, ModePolicy::default())
-    }
-
-    /// [`AsyncBackend::new`] with an explicit adaptive policy.
-    pub fn with_policy(cfg: DetectorConfig, service: ServiceConfig, policy: ModePolicy) -> Self {
-        Self::spawn(cfg, service, Some(policy), None)
-    }
-
-    /// Enqueues `event` for delivery and returns its ticket. The event
-    /// is on its way as soon as this method returns; the ticket only
-    /// tracks the hand-off (dropping it detaches, never cancels).
-    pub fn observe(&self, event: Event) -> Observe {
-        Observe { state: self.shared.delivery.as_ref().and_then(|d| d.enqueue(event, true)) }
+        Self::spawn(cfg, service, true, None)
     }
 
     /// Events enqueued but not yet handed to a shard worker.
@@ -1422,19 +1234,12 @@ impl AsyncBackend {
         self.shared.delivery.as_ref().map_or(0, |d| d.quiesce.outstanding())
     }
 
-    /// The mode a monitor is currently instrumented at (observers read
-    /// the same cell through
-    /// [`DetectionBackend::instrumentation_mode`]).
-    pub fn mode_of(&self, monitor: MonitorId) -> Mode {
-        self.instrumentation_mode(monitor)
-    }
-
-    /// Pins a monitor's mode by hand (operator override / tests). The
-    /// adaptive controller keeps running and may move it again at the
-    /// next checkpoint.
+    /// Sets a registered monitor's mode; the monitor's observers read
+    /// it on their next event. Nothing else moves a mode: a monitor
+    /// keeps the one it was registered in until this call.
     pub fn set_mode(&self, monitor: MonitorId, mode: Mode) {
-        if let Some(delivery) = &self.shared.delivery {
-            delivery.set_mode(monitor, mode);
+        if let Some(cell) = self.shared.delivery.as_ref().and_then(|d| d.mode_cell(monitor)) {
+            cell.store(mode);
         }
     }
 }
@@ -1478,8 +1283,7 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
             senders,
             bufs,
             buffered: 0,
-            batch: self.adaptive.map(|a| a.current()).unwrap_or(batch),
-            adaptive: self.adaptive,
+            batch,
             pressured: false,
             open: Arc::clone(&self.shared.open),
         })
@@ -1499,13 +1303,7 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
             self.shard_of(monitor),
             ShardMsg::WouldViolate { monitor, pid, proc_name, reply: tx },
         );
-        let verdict = rx.recv().ok().flatten();
-        if let (Some(_), Some(delivery)) = (verdict, &self.shared.delivery) {
-            // A denied call is the clearest near-violation signal
-            // there is: tighten this monitor at the next checkpoint.
-            delivery.signal(monitor);
-        }
-        verdict
+        rx.recv().ok().flatten()
     }
 
     /// The slot is shared with the ticker: from its next tick on, the
@@ -1516,11 +1314,7 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
 
     fn checkpoint(&self, scope: CheckpointScope, now: Nanos) -> FaultReport {
         self.quiesce();
-        let report = self.shared.checkpoint(scope, now, false);
-        if let Some(delivery) = &self.shared.delivery {
-            delivery.adapt(scope, &report);
-        }
-        report
+        self.shared.checkpoint(scope, now, false)
     }
 
     /// Splits the window and the snapshots per shard and merges the
@@ -1565,11 +1359,7 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
                 rx
             })
             .collect();
-        let report = FaultReport::merged(replies.into_iter().filter_map(|rx| rx.recv().ok()));
-        if let Some(delivery) = &self.shared.delivery {
-            delivery.adapt(CheckpointScope::All, &report);
-        }
-        report
+        FaultReport::merged(replies.into_iter().filter_map(|rx| rx.recv().ok()))
     }
 
     fn stats(&self) -> ServiceStats {
@@ -1582,13 +1372,6 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         self.quiesce();
         self.shared.flush();
         let mut violations = std::mem::take(&mut self.shared.collector.lock().violations);
-        if let Some(delivery) = &self.shared.delivery {
-            // Real-time verdicts count as near-violation signals for
-            // the next checkpoint's tightening pass.
-            for v in &violations {
-                delivery.signal(v.monitor);
-            }
-        }
         if let Some(sweeps) = &self.shared.sweeps {
             violations.append(&mut lock(&sweeps.found));
         }
@@ -1641,14 +1424,12 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         shard_for(monitor, self.shared.senders.len())
     }
 
-    /// The monitor's mode cell on a queued core (which the adaptive
-    /// controller may move between checkpoints); elsewhere the
-    /// configured mode, uniformly for every monitor.
+    /// The monitor's mode cell on a queued core (set by
+    /// [`AsyncBackend::set_mode`]); elsewhere, and for an unregistered
+    /// monitor, the configured mode.
     fn instrumentation_mode(&self, monitor: MonitorId) -> Mode {
-        match &self.shared.delivery {
-            Some(delivery) => delivery.mode_of(monitor),
-            None => self.mode,
-        }
+        let cell = self.shared.delivery.as_ref().and_then(|d| d.mode_cell(monitor));
+        cell.map_or(self.mode, |cell| cell.load())
     }
 }
 
@@ -2108,103 +1889,15 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn adaptive_batch_policy_is_pinned() {
-        // The exact grow/shrink curve: double on a clean flush (cap
-        // max), halve on a pressured flush (floor min), starting at
-        // min.
-        let mut b = AdaptiveBatch::new(2, 16);
-        assert_eq!((b.min(), b.max(), b.current()), (2, 16, 2));
-        let growth: Vec<usize> = (0..5).map(|_| b.on_flush(false)).collect();
-        assert_eq!(growth, [4, 8, 16, 16, 16], "doubles and saturates at max");
-        let shrink: Vec<usize> = (0..4).map(|_| b.on_flush(true)).collect();
-        assert_eq!(shrink, [8, 4, 2, 2], "halves and saturates at min");
-        // Recovery after pressure clears.
-        assert_eq!(b.on_flush(false), 4);
-        // Degenerate bounds are clamped.
-        let b = AdaptiveBatch::new(0, 0);
-        assert_eq!((b.min(), b.max(), b.current()), (1, 1, 1));
-        let b = AdaptiveBatch::new(8, 2);
-        assert_eq!((b.min(), b.max()), (8, 8), "max is clamped up to min");
-    }
-
-    #[test]
-    fn adaptive_handle_grows_batch_while_unpressured() {
-        // With a deep inbox the shards always keep up, so the handle's
-        // flush threshold doubles after every flush: flush points land
-        // after 1, then 2, then 4, then 8 buffered events.
-        let (spec, al) = allocator_spec();
-        let backend =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(1))
-                .with_adaptive_batch(1, 8);
-        backend.register_empty(MonitorId::new(0), Arc::clone(&spec), Nanos::ZERO);
-        let mut p = backend.producer();
-        let mut flush_gaps = Vec::new();
-        let mut since_flush = 0;
-        for seq in 1..=32u64 {
-            p.observe(Event::enter(
-                seq,
-                Nanos::new(seq * 10),
-                MonitorId::new(0),
-                Pid::new(1),
-                al.request,
-                seq == 1,
-            ));
-            since_flush += 1;
-            if p.pending() == 0 {
-                flush_gaps.push(since_flush);
-                since_flush = 0;
-            }
-        }
-        assert_eq!(
-            &flush_gaps[..4],
-            &[1, 2, 4, 8],
-            "batch must double while the channel absorbs every flush: {flush_gaps:?}"
-        );
-        assert!(flush_gaps[4..].iter().all(|&g| g == 8), "saturates at max: {flush_gaps:?}");
-        p.flush();
-        let stats = backend.stats();
-        assert_eq!(stats.total_events(), 32);
-        backend.shutdown();
-    }
-
-    #[test]
-    fn adaptive_handles_report_the_same_violations() {
-        // Equivalence: the adaptive batch only changes *when* batches
-        // flush, never what is detected.
-        let (spec, _) = allocator_spec();
-        let events = faulty_events(6);
-        let fixed = ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2));
-        let adaptive =
-            ShardedBackend::new(DetectorConfig::without_timeouts(), ServiceConfig::new(2))
-                .with_adaptive_batch(1, 4);
-        for id in 0..6 {
-            fixed.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-            adaptive.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-        }
-        let mut want_p = fixed.producer();
-        let mut got_p = adaptive.producer();
-        for e in &events {
-            want_p.observe(*e);
-            got_p.observe(*e);
-        }
-        want_p.flush();
-        got_p.flush();
-        assert_eq!(drain_after_flush(&adaptive), drain_after_flush(&fixed));
-    }
-
     /// A handle wired to a 1-deep inbox nobody drains: the
     /// deterministic way to hit real channel backpressure.
-    fn stalled_producer(
-        adaptive: Option<AdaptiveBatch>,
-    ) -> (ShardedProducer, crossbeam::channel::Receiver<ShardMsg>) {
+    fn stalled_producer() -> (ShardedProducer, crossbeam::channel::Receiver<ShardMsg>) {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let producer = ShardedProducer {
             senders: vec![tx],
             bufs: vec![Vec::new()],
             buffered: 0,
-            batch: adaptive.map(|a| a.current()).unwrap_or(1),
-            adaptive,
+            batch: 1,
             pressured: false,
             open: Arc::new(AtomicBool::new(true)),
         };
@@ -2218,7 +1911,7 @@ mod tests {
     #[test]
     fn try_observe_reports_full_on_a_full_inbox_and_keeps_the_events() {
         let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(None);
+        let (mut p, rx) = stalled_producer();
         // First batch fills the 1-deep inbox.
         assert_eq!(p.try_observe(event_for(1, al.request)), Backpressure::Accepted);
         assert_eq!(p.pending(), 0);
@@ -2238,7 +1931,7 @@ mod tests {
 
     #[test]
     fn try_flush_on_an_empty_handle_is_accepted() {
-        let (mut p, _rx) = stalled_producer(None);
+        let (mut p, _rx) = stalled_producer();
         assert_eq!(p.try_flush(), Backpressure::Accepted);
     }
 
@@ -2261,7 +1954,6 @@ mod tests {
             bufs: vec![Vec::new(), Vec::new()],
             buffered: 0,
             batch: 8,
-            adaptive: None,
             pressured: false,
             open: Arc::new(AtomicBool::new(true)),
         };
@@ -2297,7 +1989,7 @@ mod tests {
     #[test]
     fn a_bare_try_flush_delivers_retained_events_after_the_shard_drains() {
         let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(None);
+        let (mut p, rx) = stalled_producer();
         assert_eq!(p.try_observe(event_for(1, al.request)), Backpressure::Accepted);
         assert_eq!(p.try_observe(event_for(2, al.request)), Backpressure::Full);
         assert_eq!(p.pending(), 1);
@@ -2312,7 +2004,7 @@ mod tests {
     #[test]
     fn a_blocking_flush_clears_the_pressure_flag() {
         let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(None);
+        let (mut p, rx) = stalled_producer();
         let _ = p.try_observe(event_for(1, al.request));
         assert_eq!(p.try_observe(event_for(2, al.request)), Backpressure::Full);
         assert!(p.pressured);
@@ -2320,39 +2012,6 @@ mod tests {
         p.flush();
         assert!(!p.pressured);
         assert_eq!(p.pending(), 0);
-    }
-
-    #[test]
-    fn try_observe_pressure_still_halves_the_adaptive_batch() {
-        // The adaptive policy must see non-blocking pressure exactly
-        // like blocking pressure: a refused hand-off halves the batch.
-        let (_, al) = allocator_spec();
-        let (mut p, rx) = stalled_producer(Some(AdaptiveBatch::new(1, 8)));
-        // Clean flushes grow the batch 1 → 2 → 4 while the inbox is
-        // drained promptly.
-        assert_eq!(p.try_observe(event_for(1, al.request)), Backpressure::Accepted);
-        assert!(rx.try_recv().is_ok());
-        assert_eq!(p.batch, 2);
-        for seq in 2..=3 {
-            let _ = p.try_observe(event_for(seq, al.request));
-        }
-        assert!(rx.try_recv().is_ok());
-        assert_eq!(p.batch, 4);
-        for seq in 4..=7 {
-            let _ = p.try_observe(event_for(seq, al.request));
-        }
-        assert_eq!(p.batch, 8, "unpressured growth doubles");
-        // Fill the inbox, then force a pressured try_flush: halve.
-        assert!(rx.try_recv().is_ok());
-        for seq in 8..=15 {
-            let _ = p.try_observe(event_for(seq, al.request));
-        }
-        // Inbox holds the seq 8..=15 batch now; the next flush is
-        // refused — nobody drains it in this test, so the outcome is
-        // deterministic.
-        assert_eq!(p.try_observe(event_for(16, al.request)), Backpressure::Accepted);
-        assert_eq!(p.try_flush(), Backpressure::Full);
-        assert_eq!(p.batch, 4, "pressure halves the batch: {p:?}");
     }
 
     // -- scoped checkpoints ------------------------------------------
@@ -2647,24 +2306,86 @@ mod tests {
         let b = queued(Mode::Async, 1);
         let m = MonitorId::new(0);
         b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
+        let delivery = Arc::clone(b.shared.delivery.as_ref().unwrap());
+        let event = |seq: u64| {
+            Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, seq == 1)
+        };
         for seq in 1..=10_000u64 {
-            let ticket = b.observe(Event::enter(
-                seq,
-                Nanos::new(seq * 10),
-                m,
-                Pid::new(1),
-                al.request,
-                seq == 1,
-            ));
-            ticket.wait();
+            let ticket = delivery.enqueue(event(seq), true).expect("an open intake issues tickets");
+            ticket.wait(None);
             assert_eq!(b.undelivered(), 0, "ticket {seq} resolved before its event settled");
         }
         assert_eq!(b.stats().total_events(), 10_000);
         b.shutdown();
-        // A ticket taken after shutdown has nothing to wait for.
-        let late =
-            b.observe(Event::enter(10_001, Nanos::new(1), m, Pid::new(1), al.request, false));
-        assert!(late.wait_timeout(Nanos::ZERO));
+        // After shutdown the event is dropped and no ticket is issued:
+        // nothing is left to wait for.
+        assert!(delivery.enqueue(event(10_001), true).is_none());
+        assert_eq!(b.undelivered(), 0);
+    }
+
+    type Observing = thread::JoinHandle<(Backpressure, Box<dyn ProducerHandle>)>;
+
+    /// Runs `try_observe` on a thread of its own; the channel reports
+    /// when it returned, as the time it took.
+    fn try_observe_on_a_thread(
+        mut p: Box<dyn ProducerHandle>,
+        event: Event,
+    ) -> (Receiver<Duration>, Observing) {
+        let (done, returned) = bounded(1);
+        let observing = thread::spawn(move || {
+            let start = Instant::now();
+            let outcome = p.try_observe(event);
+            let _ = done.send(start.elapsed());
+            (outcome, p)
+        });
+        (returned, observing)
+    }
+
+    /// A blocking mode blocks on the non-blocking entry point too: the
+    /// runtime's record path reaches a queued core only through
+    /// `try_observe`, so a `Sync` monitor there must wait for delivery
+    /// and a `Hybrid` one for at most its bound.
+    #[test]
+    fn try_observe_waits_as_long_as_the_mode_says() {
+        let (spec, al) = allocator_spec();
+        let b = AsyncBackend::new(cfg(), ServiceConfig::new(1).queue_capacity(1));
+        let m = MonitorId::new(0);
+        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
+        assert_eq!(b.instrumentation_mode(m), Mode::Sync);
+        let event =
+            |seq: u64| Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, false);
+        // Stall the shard as `with_batch_sets_the_drain_threads_take_size`
+        // does: a parked worker behind a full one-deep inbox, so the
+        // drain thread cannot hand an event over.
+        let stall = || {
+            let park_rx = park_worker(&b, 0, m, al.request);
+            let (filler, filler_rx) = bounded(1);
+            b.shared.senders[0].send(ShardMsg::Flush { reply: filler }).unwrap();
+            (park_rx, filler_rx)
+        };
+
+        let (park_rx, _filler) = stall();
+        let (returned, sync) = try_observe_on_a_thread(b.producer(), event(1));
+        assert!(
+            returned.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a Sync try_observe returned while its event could not be delivered"
+        );
+        assert_eq!(park_rx.recv().unwrap(), None); // release the worker
+        returned.recv_timeout(Duration::from_secs(10)).expect("returns once delivered");
+        let (outcome, p) = sync.join().unwrap();
+        assert_eq!(outcome, Backpressure::Accepted);
+        assert_eq!(b.undelivered(), 0);
+
+        b.set_mode(m, Mode::Hybrid(Nanos::from_millis(1)));
+        let (park_rx, _filler) = stall();
+        let (returned, hybrid) = try_observe_on_a_thread(p, event(2));
+        let waited = returned.recv_timeout(Duration::from_secs(10)).expect("a bounded wait");
+        assert!(waited >= Duration::from_millis(1), "Hybrid(1 ms) waited only {waited:?}");
+        assert_eq!(hybrid.join().unwrap().0, Backpressure::Accepted);
+        assert_eq!(b.undelivered(), 1, "detached, not delivered: the worker is still parked");
+        assert_eq!(park_rx.recv().unwrap(), None);
+        assert_eq!(b.stats().total_events(), 2, "the detached event is still delivered");
+        b.shutdown();
     }
 
     #[test]
@@ -2725,43 +2446,37 @@ mod tests {
     }
 
     #[test]
-    fn denied_call_tightens_then_clean_checkpoints_relax() {
-        let (spec, al) = allocator_spec();
-        let b = queued(Mode::Async, 2);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        assert_eq!(b.mode_of(m), Mode::Async);
-
-        // The lookahead denies a release-without-request: that is a
-        // near-violation signal, so the next checkpoint tightens.
-        assert!(b.call_would_violate(m, Pid::new(1), al.release).is_some());
-        let _ = b.checkpoint(CheckpointScope::All, Nanos::new(100));
-        assert_eq!(b.mode_of(m), Mode::Sync, "denied call must tighten to Sync");
-
-        // relax_after (default 2) clean checkpoints relax it back.
-        let _ = b.checkpoint(CheckpointScope::All, Nanos::new(200));
-        assert_eq!(b.mode_of(m), Mode::Sync, "one clean checkpoint holds Sync");
-        let _ = b.checkpoint(CheckpointScope::All, Nanos::new(300));
-        assert_eq!(b.mode_of(m), Mode::Async, "second clean checkpoint relaxes");
-        b.shutdown();
+    fn mode_cell_round_trips_every_mode() {
+        for mode in
+            [Mode::Sync, Mode::Async, Mode::Hybrid(Nanos::ZERO), Mode::Hybrid(Nanos::from_secs(3))]
+        {
+            let cell = ModeCell::new(mode);
+            assert_eq!(cell.load(), mode);
+        }
+        let cell = ModeCell::new(Mode::Sync);
+        cell.store(Mode::Hybrid(Nanos::from_millis(7)));
+        assert_eq!(cell.load(), Mode::Hybrid(Nanos::from_millis(7)));
     }
 
+    /// Verdicts do not move a mode: a monitor set to `Async` stays
+    /// `Async` through a real-time violation, a denied lookahead and the
+    /// checkpoints after them.
     #[test]
-    fn drained_violation_tightens_only_the_faulty_monitor() {
+    fn only_set_mode_moves_a_mode() {
         let (spec, al) = allocator_spec();
-        let b = queued(Mode::Async, 2);
-        let faulty = MonitorId::new(0);
-        let clean = MonitorId::new(1);
-        b.register_empty(faulty, Arc::clone(&spec), Nanos::ZERO);
-        b.register_empty(clean, Arc::clone(&spec), Nanos::ZERO);
+        let b = queued(Mode::Sync, 2);
+        let m = MonitorId::new(0);
+        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
+        b.set_mode(m, Mode::Async);
         let mut p = b.producer();
-        p.observe(Event::enter(1, Nanos::new(10), faulty, Pid::new(1), al.release, true));
-        p.observe(Event::enter(2, Nanos::new(20), clean, Pid::new(2), al.request, true));
+        p.observe(Event::enter(1, Nanos::new(10), m, Pid::new(1), al.release, true));
         p.flush();
         assert!(!b.drain_violations().is_empty());
-        let _ = b.checkpoint(CheckpointScope::All, Nanos::new(100));
-        assert_eq!(b.mode_of(faulty), Mode::Sync, "the faulty monitor tightens");
-        assert_eq!(b.mode_of(clean), Mode::Async, "the clean monitor stays async");
+        assert!(b.call_would_violate(m, Pid::new(1), al.release).is_some());
+        for now in [100, 200] {
+            let _ = b.checkpoint(CheckpointScope::All, Nanos::new(now));
+            assert_eq!(b.instrumentation_mode(m), Mode::Async, "after the checkpoint at {now}");
+        }
         b.shutdown();
     }
 
@@ -2774,7 +2489,7 @@ mod tests {
         let hybrid = Mode::Hybrid(Nanos::from_millis(2));
         b.set_mode(m, hybrid);
         assert_eq!(b.instrumentation_mode(m), hybrid);
-        // Unregistered monitors answer the base mode.
+        // Unregistered monitors answer the configured mode.
         assert_eq!(b.instrumentation_mode(MonitorId::new(9)), Mode::Async);
         b.shutdown();
     }

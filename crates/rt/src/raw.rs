@@ -146,12 +146,11 @@ impl RawCore {
     /// held (an invariant of this module), so the recorded-event
     /// counter moves atomically with the queue state it describes.
     /// Whether the recording thread blocks on detection backpressure
-    /// here is the monitor's instrumentation mode — a per-monitor,
-    /// run-time choice answered by the backend, not a property of this
-    /// core (only `needs_order`, the *what* to stream, is pinned at
-    /// construction; the *how hard*, `rmon_core::Mode`, stays dynamic
-    /// so an adaptive backend can tighten a suspect monitor to Sync
-    /// mid-run).
+    /// here is the monitor's instrumentation mode — a per-monitor
+    /// choice answered by the backend, not a property of this core
+    /// (only `needs_order`, the *what* to stream, is pinned at
+    /// construction; the *how hard*, `rmon_core::Mode`, is read per
+    /// event so the backend's owner can change it mid-run).
     #[inline]
     fn observe(&self, pid: Pid, proc_name: ProcName, kind: EventKind) {
         self.rt.record_observe(self.id, pid, proc_name, kind, self.needs_order);

@@ -13,13 +13,15 @@
 //! thread-local lookup per recorded event reaches both, so a hot-path
 //! observation appends to the segment and — for monitors with
 //! calling-order concerns — streams straight into the backend without
-//! touching any mutex shared between observing threads. How hard the
-//! recording thread pushes on backpressure is the monitor's
+//! touching any mutex shared between observing threads. How long the
+//! recording thread waits on the hand-off is the monitor's
 //! *instrumentation mode* (`rmon_core::Mode`, answered by the
-//! backend): Sync uses [`ProducerHandle::try_observe`] with a bounded
-//! yield-retry before it ever blocks on a full shard inbox, Async
-//! fires one `try_observe` and detaches, Hybrid bounds the retry by a
-//! wall-clock budget — see
+//! backend and set by its owner): on a buffered handle, Sync uses
+//! [`ProducerHandle::try_observe`] with a bounded yield-retry before it
+//! ever blocks on a full shard inbox, Async fires one `try_observe`
+//! and detaches, Hybrid bounds the retry by a wall-clock budget; a
+//! queued handle's `try_observe` waits on the event's delivery ticket
+//! for as long as the mode says — see
 //! `crate::runtime::RtInner::record_observe`. One thread =
 //! one [`Pid`] = one segment = one handle is also what upholds the
 //! backends' per-caller ordering precondition (see

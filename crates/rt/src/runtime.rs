@@ -328,10 +328,14 @@ impl RtInner {
     ///
     /// How hard the recording thread pushes is the monitor's
     /// **instrumentation mode**, answered per event by
-    /// [`DetectionBackend::instrumentation_mode`] (so a mode-aware
-    /// backend like
+    /// [`DetectionBackend::instrumentation_mode`] (so the owner of a
+    /// mode-aware backend like
     /// [`AsyncBackend`](rmon_core::detect::AsyncBackend) can retune a
-    /// monitor at run time):
+    /// monitor at run time). The branches below are for buffered
+    /// handles; a queued handle never reports backpressure, and its
+    /// `try_observe` itself waits on the event's delivery ticket as
+    /// long as the mode says (until delivery for Sync, up to `t` for
+    /// Hybrid):
     ///
     /// * [`Mode::Sync`] (the default; every non-mode-aware backend) —
     ///   non-blocking first: the handle's

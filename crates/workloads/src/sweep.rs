@@ -680,13 +680,10 @@ mod tests {
         for (label, rt) in [
             ("inline", rmon_rt::Runtime::new(DetectorConfig::without_timeouts())),
             (
-                "sharded+adaptive",
+                "sharded",
                 rmon_rt::Runtime::builder(DetectorConfig::without_timeouts())
                     .backend_with(|cfg, _clock| {
-                        Arc::new(
-                            ShardedBackend::new(cfg, ServiceConfig::new(2))
-                                .with_adaptive_batch(1, 32),
-                        )
+                        Arc::new(ShardedBackend::new(cfg, ServiceConfig::new(2)).with_batch(32))
                     })
                     .build(),
             ),

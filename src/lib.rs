@@ -66,8 +66,8 @@ pub use rmon_workloads as workloads;
 pub mod prelude {
     pub use rmon_core::detect::{
         AsyncBackend, Backpressure, CheckpointScope, DetectionBackend, InlineBackend,
-        ModeController, ModePolicy, Observe, ProducerHandle, ScheduledBackend, SchedulerConfig,
-        ServiceConfig, ServiceStats, ShardedBackend, SnapshotProvider, SnapshotTable,
+        ProducerHandle, ScheduledBackend, SchedulerConfig, ServiceConfig, ServiceStats,
+        ShardedBackend, SnapshotProvider, SnapshotTable,
     };
     pub use rmon_core::{
         analyze, analyze_all, analyze_fleet, monitor_spec, taxonomy, DetectorConfig, DiagCode,

@@ -2,9 +2,11 @@
 //! docs/*.md must resolve to a file in the repository, every repository
 //! path those files quote in a code span must exist, and every
 //! `symbol` — `path.rs` pointer of docs/PAPER_MAP.md must name an item
-//! that file defines. CI's docs job runs this alongside the rustdoc
-//! build, so a renamed doc, a moved item or a stale path fails the
-//! push that broke it.
+//! that file defines, and every `--bin NAME` / `--example NAME` those
+//! files (and the verify skill's build notes) quote must name a target
+//! that exists. CI's docs job runs this alongside the rustdoc build, so
+//! a renamed doc, a moved item, a deleted binary or a stale path fails
+//! the push that broke it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -213,6 +215,102 @@ fn quoted_paths_exist_and_paper_map_pointers_name_defined_items() {
     assert!(broken.is_empty(), "stale code pointers:\n{}", broken.join("\n"));
 }
 
+/// The code a markdown file quotes: every line of a fenced block, and
+/// every inline code span, joined across the line breaks of its
+/// paragraph (a span may wrap onto the next line).
+fn quoted_code(md: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut paragraphs = vec![String::new()];
+    let mut fenced = false;
+    for line in md.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            paragraphs.push(String::new());
+        } else if fenced {
+            out.push(line.to_string());
+        } else if line.trim().is_empty() {
+            paragraphs.push(String::new());
+        } else {
+            let paragraph = paragraphs.last_mut().expect("never empty");
+            paragraph.push_str(line);
+            paragraph.push(' ');
+        }
+    }
+    for paragraph in &paragraphs {
+        out.extend(code_spans(paragraph).into_iter().map(|(span, _)| span.to_string()));
+    }
+    out
+}
+
+/// The `--bin NAME` and `--example NAME` targets a piece of quoted code
+/// names. A shell variable (`--example "$ex"`) names none.
+fn cargo_targets(code: &str) -> Vec<(&str, &str)> {
+    let words: Vec<&str> = code.split_whitespace().collect();
+    words
+        .windows(2)
+        .filter(|w| matches!(w[0], "--bin" | "--example") && !w[1].starts_with(['$', '"', '-']))
+        .map(|w| (w[0], w[1]))
+        .collect()
+}
+
+/// The `.rs` file stems directly under `dir` (none if it is missing).
+fn rs_stems(dir: &Path) -> Vec<String> {
+    let Ok(entries) = fs::read_dir(dir) else { return Vec::new() };
+    entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .filter_map(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
+        .collect()
+}
+
+/// Every binary target of the packages in this repository (the root,
+/// `crates/*` and `layerbench/`): the `[[bin]]` names of each manifest
+/// and the files under each `src/bin/`.
+fn bin_targets(repo: &Path) -> Vec<String> {
+    let mut packages = vec![repo.to_path_buf(), repo.join("layerbench")];
+    let crates = fs::read_dir(repo.join("crates")).expect("crates/ directory");
+    packages.extend(crates.filter_map(|e| e.ok().map(|e| e.path())));
+    let mut bins = Vec::new();
+    for package in packages {
+        let manifest = fs::read_to_string(package.join("Cargo.toml")).unwrap_or_default();
+        let mut in_bin = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_bin = line == "[[bin]]";
+            } else if in_bin && line.starts_with("name") {
+                bins.extend(line.split('"').nth(1).map(str::to_string));
+            }
+        }
+        bins.extend(rs_stems(&package.join("src/bin")));
+    }
+    bins
+}
+
+#[test]
+fn quoted_bin_and_example_targets_exist() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let bins = bin_targets(&repo);
+    let examples = rs_stems(&repo.join("examples"));
+    let mut files = doc_files(&repo);
+    let skill = repo.join(".claude/skills/verify/SKILL.md");
+    if skill.exists() {
+        files.push(skill);
+    }
+    let mut broken = Vec::new();
+    for md_path in files {
+        let text = fs::read_to_string(&md_path).unwrap_or_else(|e| panic!("read {md_path:?}: {e}"));
+        for code in quoted_code(&text) {
+            for (flag, name) in cargo_targets(&code) {
+                let known = if flag == "--bin" { &bins } else { &examples };
+                if !known.iter().any(|target| target == name) {
+                    broken.push(format!("{}: `{flag} {name}` names no target", md_path.display()));
+                }
+            }
+        }
+    }
+    assert!(broken.is_empty(), "stale cargo targets:\n{}", broken.join("\n"));
+}
+
 #[test]
 fn pointer_helpers_parse_spans_braces_and_items() {
     let line = "| x | `a::B` / `c()` — `crates/x/src/y.rs`; see `tests/{p,q}_z.rs` |";
@@ -227,6 +325,14 @@ fn pointer_helpers_parse_spans_braces_and_items() {
     let source = "pub struct Bee;\npub(crate) fn c() {}\nmacro_rules! m { () => {} }";
     assert!(defines(source, "c") && defines(source, "m") && !defines(source, "B"));
     assert!(defines("pub struct B<T>(T);", "B"));
+    // A span that wraps onto the next line of its paragraph is one
+    // span; a fenced block is quoted line by line.
+    let md = "The bench `cargo run -p x --bin\nsharded` runs.\n\n```bash\ncargo run --example \"$ex\"\n```\n";
+    let code = quoted_code(md);
+    assert_eq!(code, ["cargo run --example \"$ex\"", "cargo run -p x --bin sharded"]);
+    assert_eq!(cargo_targets(&code[1]), [("--bin", "sharded")]);
+    assert!(cargo_targets(&code[0]).is_empty(), "a shell variable names no target");
+    assert_eq!(cargo_targets("cargo run --example quickstart"), [("--example", "quickstart")]);
 }
 
 #[test]
