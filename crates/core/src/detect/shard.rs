@@ -208,11 +208,6 @@ impl ServiceStats {
         self.shards.iter().map(|s| s.batches).sum()
     }
 
-    /// Total real-time violations reported across all shards.
-    pub fn total_violations(&self) -> u64 {
-        self.shards.iter().map(|s| s.violations).sum()
-    }
-
     /// Shards that have observed at least one event — a quick load-
     /// balance indicator.
     pub fn active_shards(&self) -> usize {

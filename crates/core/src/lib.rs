@@ -90,7 +90,7 @@ pub use fault::{taxonomy, FaultInfo, FaultKind, FaultLevel};
 pub use hlc::{Hlc, HlcStamp};
 pub use ids::{CondId, MonitorId, Pid, PidProc, ProcName};
 pub use lists::{GeneralLists, OrderState, ResourceState};
-pub use oplog::{EventSink, MemorySink, ViolationSink};
+pub use oplog::{Journal, JournalSink, MemorySink};
 pub use path::{CompiledPath, OrderViolation, PathError, PathExpr, PathTracker};
 pub use rule::RuleId;
 pub use spec::{

@@ -1,26 +1,29 @@
-//! Durable oplog interface: sink traits and the portable record codec.
+//! Durable oplog interface: the journal sink, its writer and the
+//! portable record codec.
 //!
 //! The paper's prototype keeps every recorded window and fault report in
 //! memory — fine for an experiment, fatal for a fleet that should run
 //! for weeks. This module defines the *interface* half of the durable
-//! story: what a runtime streams out ([`EventSink`] / [`ViolationSink`])
-//! and the byte-exact record encoding those streams use. The *engine*
-//! half — append-only segmented files, CRC framing, torn-tail recovery,
-//! rotation/retention — lives in the `rmon-storage` crate, which
-//! implements both traits over its on-disk oplog; `docs/STORAGE.md`
-//! specifies the format. Keeping the traits here lets `rmon-rt` journal
-//! through `Arc<dyn EventSink>` without depending on any storage engine
-//! (tests use the in-memory [`MemorySink`]).
+//! story: what a runtime streams out ([`JournalSink`]), the one writer
+//! that orders and accounts for it ([`Journal`]), and the byte-exact
+//! record encoding the stream uses. The *engine* half — append-only
+//! segmented files, CRC framing, torn-tail recovery, rotation/retention
+//! — lives in the `rmon-storage` crate, which implements the trait over
+//! its on-disk oplog; `docs/STORAGE.md` specifies the format. Keeping
+//! the trait here lets `rmon-rt` journal through `Arc<dyn JournalSink>`
+//! without depending on any storage engine (tests use the in-memory
+//! [`MemorySink`]).
 //!
 //! ## Record stream semantics
 //!
 //! A journal is a totally ordered sequence of [`Record`]s with a
 //! **commit protocol**: [`Record::Checkpoint`] is the commit marker.
 //! A runtime appends, per checkpoint barrier, `Events(window)` then
-//! `Realtime(new verdicts)` then `Checkpoint { .. }` — in that order —
-//! so a crash anywhere mid-sequence leaves a clean committed prefix:
-//! readers (see `rmon-storage`'s replayer) discard trailing `Events` /
-//! `Realtime` records not followed by a `Checkpoint`. [`Record::Epoch`]
+//! `Realtime(new verdicts)` then `Checkpoint { .. }` — in that order,
+//! written by [`Journal::commit`] — so a crash anywhere mid-sequence
+//! leaves a clean committed prefix: readers (see `rmon-storage`'s
+//! replayer) discard trailing `Events` / `Realtime` records not
+//! followed by a `Checkpoint`. [`Record::Epoch`]
 //! marks a runtime (re)attaching to the journal after a restart:
 //! sequence numbers and monitor ids restart from zero behind it, so a
 //! replayer resets its detector state at each epoch boundary.
@@ -43,21 +46,24 @@ use crate::violation::{FaultReport, PredictedViolation, Violation};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------
-// Sink traits
+// The sink trait and the writer
 // ---------------------------------------------------------------------
 
-/// Receives the event-side journal stream of a runtime: epoch markers,
-/// monitor registrations and drained event windows.
+/// Receives a runtime's journal stream: epoch markers, monitor
+/// registrations, drained event windows, real-time (Algorithm-3)
+/// violations and checkpoint reports with their observed snapshots —
+/// one totally ordered record stream.
 ///
 /// Implementations must be safe to share across threads (the runtime
 /// holds them in an `Arc`); appends happen at checkpoint barriers and
 /// registration time, never on the per-event hot path. All methods
 /// return `io::Result` so a durable implementation can surface disk
-/// errors; the runtime counts failures rather than panicking.
-pub trait EventSink: Send + Sync + fmt::Debug {
+/// errors; [`Journal`] counts failures rather than panicking.
+pub trait JournalSink: Send + Sync + fmt::Debug {
     /// Marks a runtime (re)attaching to the journal: event sequence
     /// numbers and monitor ids restart from zero after this record.
     fn append_epoch(&self, now: Nanos) -> io::Result<()>;
@@ -69,20 +75,9 @@ pub trait EventSink: Send + Sync + fmt::Debug {
 
     /// Appends one drained recorder window (events in global `seq`
     /// order). Part of a checkpoint commit sequence; not yet committed
-    /// until the matching [`ViolationSink::append_checkpoint`] lands.
+    /// until the matching [`Self::append_checkpoint`] lands.
     fn append_events(&self, events: &[Event]) -> io::Result<()>;
 
-    /// Flushes buffered appends to durable storage (fsync for a file
-    /// engine). A no-op by default.
-    fn sync(&self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Receives the verdict-side journal stream of a runtime: real-time
-/// (Algorithm-3) violations and checkpoint reports with their observed
-/// snapshots.
-pub trait ViolationSink: Send + Sync + fmt::Debug {
     /// Appends real-time violations drained since the last checkpoint.
     /// Written between a window's `Events` record and its `Checkpoint`
     /// record, so the verdicts commit together with their events.
@@ -97,6 +92,90 @@ pub trait ViolationSink: Send + Sync + fmt::Debug {
         snapshots: &HashMap<MonitorId, MonitorState>,
         report: &FaultReport,
     ) -> io::Result<()>;
+
+    /// Flushes buffered appends to durable storage (fsync for a file
+    /// engine). A no-op by default.
+    fn sync(&self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The one journal writer behind a runtime and a detection service: a
+/// [`JournalSink`], the commit order and the failure accounting.
+///
+/// The journal is an observer, never a gate on detection: a failed
+/// append is counted ([`Self::errors`]) and the first failure's kind
+/// and message kept ([`Self::first_error`]); nothing blocks or panics.
+#[derive(Debug)]
+pub struct Journal {
+    sink: Arc<dyn JournalSink>,
+    errors: AtomicU64,
+    first_error: OnceLock<(io::ErrorKind, String)>,
+}
+
+impl Journal {
+    /// A writer over `sink`, with no failures counted yet.
+    pub fn new(sink: Arc<dyn JournalSink>) -> Self {
+        Journal { sink, errors: AtomicU64::new(0), first_error: OnceLock::new() }
+    }
+
+    /// Appends an `Epoch` record (see [`JournalSink::append_epoch`]).
+    pub fn epoch(&self, now: Nanos) {
+        self.try_append(self.sink.append_epoch(now));
+    }
+
+    /// Appends a `Register` record (see [`JournalSink::append_register`]).
+    pub fn register(&self, monitor: MonitorId, name: &str, now: Nanos) {
+        self.try_append(self.sink.append_register(monitor, name, now));
+    }
+
+    /// Appends an `Events` record; an empty window is elided (the
+    /// replayer would stage nothing for it).
+    pub fn events(&self, events: &[Event]) {
+        if !events.is_empty() {
+            self.try_append(self.sink.append_events(events));
+        }
+    }
+
+    /// Journals one commit sequence: `Events(events)` →
+    /// `Realtime(realtime)` → `Checkpoint` (the commit marker) → sync.
+    /// Empty `events` and empty `realtime` are elided; the marker and
+    /// the sync are always written. A crash anywhere inside the
+    /// sequence leaves the journal with a clean committed prefix — the
+    /// replayer discards trailing records with no marker.
+    pub fn commit(
+        &self,
+        events: &[Event],
+        realtime: &[Violation],
+        now: Nanos,
+        snapshots: &HashMap<MonitorId, MonitorState>,
+        report: &FaultReport,
+    ) {
+        self.events(events);
+        if !realtime.is_empty() {
+            self.try_append(self.sink.append_realtime(realtime));
+        }
+        self.try_append(self.sink.append_checkpoint(now, snapshots, report));
+        self.try_append(self.sink.sync());
+    }
+
+    /// Appends that have failed so far.
+    pub fn errors(&self) -> u64 {
+        self.errors.load(Ordering::Relaxed)
+    }
+
+    /// The kind and message of the first append that failed, `None`
+    /// while [`Self::errors`] is zero.
+    pub fn first_error(&self) -> Option<(io::ErrorKind, String)> {
+        self.first_error.get().cloned()
+    }
+
+    fn try_append(&self, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.first_error.get_or_init(|| (e.kind(), e.to_string()));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -147,6 +226,20 @@ impl Record {
             Record::Realtime(_) => TAG_REALTIME,
             Record::Checkpoint { .. } => TAG_CHECKPOINT,
         }
+    }
+
+    /// The `Checkpoint` record a sink appends for
+    /// [`JournalSink::append_checkpoint`]: the snapshots sorted by
+    /// monitor id, the report as given.
+    pub fn checkpoint(
+        now: Nanos,
+        snapshots: &HashMap<MonitorId, MonitorState>,
+        report: &FaultReport,
+    ) -> Record {
+        let mut sorted: Vec<(MonitorId, MonitorState)> =
+            snapshots.iter().map(|(&id, s)| (id, s.clone())).collect();
+        sorted.sort_by_key(|(id, _)| *id);
+        Record::Checkpoint { now, snapshots: sorted, report: report.clone() }
     }
 }
 
@@ -812,7 +905,7 @@ pub fn decode_report(payload: &[u8], pos: &mut usize) -> Result<FaultReport, Dec
 // ---------------------------------------------------------------------
 
 /// An in-memory journal capturing decoded [`Record`]s — the test double
-/// for both sink traits, and a cheap way to inspect exactly what a
+/// for [`JournalSink`], and a cheap way to inspect exactly what a
 /// runtime would persist without touching disk.
 ///
 /// Every append round-trips through the codec (`encode` + `decode`), so
@@ -852,7 +945,7 @@ impl MemorySink {
     }
 }
 
-impl EventSink for MemorySink {
+impl JournalSink for MemorySink {
     fn append_epoch(&self, now: Nanos) -> io::Result<()> {
         self.push(Record::Epoch { time: now })
     }
@@ -864,9 +957,7 @@ impl EventSink for MemorySink {
     fn append_events(&self, events: &[Event]) -> io::Result<()> {
         self.push(Record::Events(events.to_vec()))
     }
-}
 
-impl ViolationSink for MemorySink {
     fn append_realtime(&self, violations: &[Violation]) -> io::Result<()> {
         self.push(Record::Realtime(violations.to_vec()))
     }
@@ -877,10 +968,7 @@ impl ViolationSink for MemorySink {
         snapshots: &HashMap<MonitorId, MonitorState>,
         report: &FaultReport,
     ) -> io::Result<()> {
-        let mut snaps: Vec<(MonitorId, MonitorState)> =
-            snapshots.iter().map(|(&id, s)| (id, s.clone())).collect();
-        snaps.sort_by_key(|(id, _)| *id);
-        self.push(Record::Checkpoint { now, snapshots: snaps, report: report.clone() })
+        self.push(Record::checkpoint(now, snapshots, report))
     }
 }
 
@@ -1113,15 +1201,14 @@ mod tests {
         let sink = MemorySink::new();
         assert!(sink.is_empty());
         let m = MonitorId::new(0);
-        EventSink::append_epoch(&sink, Nanos::new(1)).unwrap();
-        EventSink::append_register(&sink, m, "alloc", Nanos::new(2)).unwrap();
+        sink.append_epoch(Nanos::new(1)).unwrap();
+        sink.append_register(m, "alloc", Nanos::new(2)).unwrap();
         let events = [Event::enter(1, Nanos::new(3), m, Pid::new(1), ProcName::new(0), true)];
-        EventSink::append_events(&sink, &events).unwrap();
-        ViolationSink::append_realtime(&sink, &[sample_violation(1)]).unwrap();
+        sink.append_events(&events).unwrap();
+        sink.append_realtime(&[sample_violation(1)]).unwrap();
         let mut snaps = HashMap::new();
         snaps.insert(m, sample_state());
-        ViolationSink::append_checkpoint(&sink, Nanos::new(9), &snaps, &FaultReport::default())
-            .unwrap();
+        sink.append_checkpoint(Nanos::new(9), &snaps, &FaultReport::default()).unwrap();
         let records = sink.records();
         assert_eq!(records.len(), 5);
         assert_eq!(records[0], Record::Epoch { time: Nanos::new(1) });
@@ -1131,5 +1218,131 @@ mod tests {
         assert!(
             matches!(&records[4], Record::Checkpoint { snapshots, .. } if snapshots.len() == 1)
         );
+    }
+
+    /// A [`MemorySink`] that counts its syncs and, when `fail` is set,
+    /// refuses every append and sync with a numbered error — the first
+    /// one `InvalidInput`, the rest `Other`.
+    #[derive(Debug, Default)]
+    struct CountingSink {
+        records: MemorySink,
+        syncs: AtomicU64,
+        fail: bool,
+        failures: AtomicU64,
+    }
+
+    impl CountingSink {
+        fn failing() -> Self {
+            CountingSink { fail: true, ..Self::default() }
+        }
+
+        fn append(&self, write: impl FnOnce(&MemorySink) -> io::Result<()>) -> io::Result<()> {
+            if !self.fail {
+                return write(&self.records);
+            }
+            let n = self.failures.fetch_add(1, Ordering::Relaxed);
+            let kind = if n == 0 { io::ErrorKind::InvalidInput } else { io::ErrorKind::Other };
+            Err(io::Error::new(kind, format!("failure {n}")))
+        }
+    }
+
+    impl JournalSink for CountingSink {
+        fn append_epoch(&self, now: Nanos) -> io::Result<()> {
+            self.append(|m| m.append_epoch(now))
+        }
+
+        fn append_register(&self, monitor: MonitorId, name: &str, now: Nanos) -> io::Result<()> {
+            self.append(|m| m.append_register(monitor, name, now))
+        }
+
+        fn append_events(&self, events: &[Event]) -> io::Result<()> {
+            self.append(|m| m.append_events(events))
+        }
+
+        fn append_realtime(&self, violations: &[Violation]) -> io::Result<()> {
+            self.append(|m| m.append_realtime(violations))
+        }
+
+        fn append_checkpoint(
+            &self,
+            now: Nanos,
+            snapshots: &HashMap<MonitorId, MonitorState>,
+            report: &FaultReport,
+        ) -> io::Result<()> {
+            self.append(|m| m.append_checkpoint(now, snapshots, report))
+        }
+
+        fn sync(&self) -> io::Result<()> {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            self.append(|_| Ok(()))
+        }
+    }
+
+    fn journal_over(sink: &Arc<CountingSink>) -> Journal {
+        Journal::new(Arc::clone(sink) as Arc<dyn JournalSink>)
+    }
+
+    fn sample_event(seq: u64) -> Event {
+        Event::enter(seq, Nanos::new(seq), MonitorId::new(0), Pid::new(1), ProcName::new(0), true)
+    }
+
+    #[test]
+    fn an_empty_commit_writes_only_the_marker_and_one_sync() {
+        let sink = Arc::new(CountingSink::default());
+        let journal = journal_over(&sink);
+        let snaps = HashMap::from([(MonitorId::new(0), sample_state())]);
+        journal.commit(&[], &[], Nanos::new(7), &snaps, &FaultReport::default());
+        assert_eq!(
+            sink.records.records(),
+            [Record::checkpoint(Nanos::new(7), &snaps, &FaultReport::default())]
+        );
+        assert_eq!(sink.syncs.load(Ordering::Relaxed), 1);
+        assert_eq!((journal.errors(), journal.first_error()), (0, None));
+    }
+
+    #[test]
+    fn a_commit_writes_events_then_realtime_then_the_marker() {
+        let sink = Arc::new(CountingSink::default());
+        let journal = journal_over(&sink);
+        let events = [sample_event(1), sample_event(2)];
+        let verdicts = [sample_violation(1)];
+        let snaps = HashMap::from([(MonitorId::new(1), MonitorState::new(0))]);
+        let report = FaultReport { violations: vec![sample_violation(2)], ..Default::default() };
+        journal.commit(&events, &verdicts, Nanos::new(9), &snaps, &report);
+        assert_eq!(
+            sink.records.records(),
+            [
+                Record::Events(events.to_vec()),
+                Record::Realtime(verdicts.to_vec()),
+                Record::checkpoint(Nanos::new(9), &snaps, &report),
+            ]
+        );
+        assert_eq!(sink.syncs.load(Ordering::Relaxed), 1);
+        assert_eq!(journal.errors(), 0);
+    }
+
+    #[test]
+    fn every_failed_append_counts_and_only_the_first_error_is_kept() {
+        let sink = Arc::new(CountingSink::failing());
+        let journal = journal_over(&sink);
+        journal.epoch(Nanos::new(1));
+        journal.register(MonitorId::new(0), "alloc", Nanos::new(2));
+        journal.events(&[]);
+        assert_eq!(journal.errors(), 2, "an empty window is not appended");
+        journal.events(&[sample_event(1)]);
+        let snaps = HashMap::new();
+        journal.commit(
+            &[sample_event(2)],
+            &[sample_violation(1)],
+            Nanos::new(3),
+            &snaps,
+            &FaultReport::default(),
+        );
+        // Epoch, Register, Events, then Events, Realtime, Checkpoint and
+        // the sync of the commit.
+        assert_eq!(journal.errors(), 7);
+        assert_eq!(sink.syncs.load(Ordering::Relaxed), 1);
+        assert_eq!(journal.first_error(), Some((io::ErrorKind::InvalidInput, "failure 0".into())));
+        assert!(sink.records.is_empty());
     }
 }

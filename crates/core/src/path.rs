@@ -610,11 +610,6 @@ impl CompiledPath {
         Ok(())
     }
 
-    /// Whether an externally stored state set marks a complete path.
-    pub fn states_complete(&self, states: &[bool]) -> bool {
-        states[self.accept]
-    }
-
     /// Epsilon-closure of a state set, in place.
     fn close(&self, states: &mut [bool]) {
         let mut stack: Vec<usize> =

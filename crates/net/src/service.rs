@@ -46,14 +46,14 @@ use crossbeam::channel::{bounded, Sender};
 use rmon_core::detect::{CheckpointScope, DetectionBackend, SnapshotProvider};
 use rmon_core::oplog::Record;
 use rmon_core::{
-    Event, EventSink, FaultReport, MonitorId, MonitorSpec, MonitorState, Nanos, Violation,
-    ViolationSink,
+    Event, FaultReport, Journal, JournalSink, MonitorId, MonitorSpec, MonitorState, Nanos,
+    Violation,
 };
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -216,21 +216,6 @@ impl SnapshotProvider for FleetCache {
     }
 }
 
-/// The service-side durable tee (see [`DetectionService::journal`]):
-/// worker event frames append as `Events` records the moment they are
-/// remapped to global ids, verdicts stage in `pending`, and every fleet
-/// checkpoint commits the window with the `Realtime → Checkpoint`
-/// sequence the `rmon-storage` replayer's commit protocol expects.
-#[derive(Debug)]
-struct JournalTee {
-    events: Arc<dyn EventSink>,
-    verdicts: Arc<dyn ViolationSink>,
-    /// Verdicts produced since the last committing fleet checkpoint
-    /// (real-time routes and worker-initiated checkpoint reports), in
-    /// global ids.
-    pending: Vec<Violation>,
-}
-
 #[derive(Debug)]
 struct ServiceShared {
     clock: NodeClock,
@@ -240,16 +225,13 @@ struct ServiceShared {
     /// Every verdict the service has produced, in global ids (the
     /// durable ground truth for equivalence checks and operators).
     verdicts: Mutex<Vec<Violation>>,
-    /// Optional durable tee; `None` until
-    /// [`DetectionService::journal`] installs one.
-    journal: Mutex<Option<JournalTee>>,
-    /// Journal appends that failed (disk errors). Detection never
-    /// blocks or panics on a failing journal; operators watch
-    /// [`DetectionService::journal_errors`].
-    journal_errors: AtomicU64,
-    /// The first failed append's kind and message
-    /// ([`DetectionService::first_journal_error`]).
-    first_journal_error: OnceLock<(io::ErrorKind, String)>,
+    /// The durable tee (see [`DetectionService::journal`]), `None`
+    /// until one is installed: worker event frames append as `Events`
+    /// records the moment they are remapped to global ids; verdicts
+    /// produced since the last committing fleet checkpoint (real-time
+    /// routes and worker-initiated checkpoint reports, in global ids)
+    /// stage beside it until the next [`Journal::commit`].
+    journal: Mutex<Option<(Journal, Vec<Violation>)>>,
     /// Every registration the fleet has seen, post-renaming: the
     /// worker-announced name and the spec it resolved to (`None` for
     /// unresolved names). Input to [`DetectionService::lint_fleet`].
@@ -258,64 +240,12 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
-    /// Folds an append result into the error counter, keeping the
-    /// first error — the journal is an observer, never a gate on
-    /// detection.
-    fn journal_try(&self, result: io::Result<()>) {
-        if let Err(e) = result {
-            self.journal_errors.fetch_add(1, Ordering::Relaxed);
-            self.first_journal_error.get_or_init(|| (e.kind(), e.to_string()));
-        }
-    }
-
-    /// Journals one monitor registration (global id + declared name).
-    fn journal_register(&self, monitor: MonitorId, name: &str, now: Nanos) {
-        let journal = self.journal.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(tee) = journal.as_ref() {
-            self.journal_try(tee.events.append_register(monitor, name, now));
-        }
-    }
-
-    /// Journals one remapped worker event frame.
-    fn journal_events(&self, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        let journal = self.journal.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(tee) = journal.as_ref() {
-            self.journal_try(tee.events.append_events(events));
-        }
-    }
-
-    /// Stages verdicts for the next committing fleet checkpoint.
-    fn journal_pending(&self, verdicts: &[Violation]) {
-        if verdicts.is_empty() {
-            return;
-        }
-        let mut journal = self.journal.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(tee) = journal.as_mut() {
-            tee.pending.extend_from_slice(verdicts);
-        }
-    }
-
-    /// Commits the window at a fleet checkpoint: staged verdicts as a
-    /// `Realtime` record, then the `Checkpoint` marker with the
-    /// snapshots this sweep compared against, then a sync.
-    fn journal_commit(
-        &self,
-        now: Nanos,
-        snapshots: &HashMap<MonitorId, MonitorState>,
-        report: &FaultReport,
-    ) {
-        let mut journal = self.journal.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(tee) = journal.as_mut() {
-            let pending = std::mem::take(&mut tee.pending);
-            if !pending.is_empty() {
-                self.journal_try(tee.verdicts.append_realtime(&pending));
-            }
-            self.journal_try(tee.verdicts.append_checkpoint(now, snapshots, report));
-            self.journal_try(tee.events.sync());
-        }
+    /// Runs `write` on the installed journal and the verdicts staged
+    /// for its next commit, under the journal lock; `None` without a
+    /// journal.
+    fn with_journal<T>(&self, write: impl FnOnce(&Journal, &mut Vec<Violation>) -> T) -> Option<T> {
+        let mut tee = self.journal.lock().unwrap_or_else(|e| e.into_inner());
+        tee.as_mut().map(|(journal, pending)| write(journal, pending))
     }
 }
 
@@ -364,8 +294,6 @@ impl DetectionService {
                 next_global: AtomicU32::new(0),
                 verdicts: Mutex::new(Vec::new()),
                 journal: Mutex::new(None),
-                journal_errors: AtomicU64::new(0),
-                first_journal_error: OnceLock::new(),
                 registered: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
             }),
@@ -413,15 +341,11 @@ impl DetectionService {
     /// verdict sequence. Frames still in flight *during* a commit land
     /// in the next window; end a run with a final
     /// [`Self::checkpoint_fleet`] so nothing is left staged.
-    pub fn journal<S: EventSink + ViolationSink + 'static>(&self, sink: Arc<S>) {
-        let now = self.shared.clock.last().physical;
-        self.shared.journal_try(sink.append_epoch(now));
-        let tee = JournalTee {
-            events: Arc::clone(&sink) as Arc<dyn EventSink>,
-            verdicts: sink as Arc<dyn ViolationSink>,
-            pending: Vec::new(),
-        };
-        *self.shared.journal.lock().unwrap_or_else(|e| e.into_inner()) = Some(tee);
+    pub fn journal<S: JournalSink + 'static>(&self, sink: Arc<S>) {
+        let journal = Journal::new(sink);
+        journal.epoch(self.shared.clock.last().physical);
+        *self.shared.journal.lock().unwrap_or_else(|e| e.into_inner()) =
+            Some((journal, Vec::new()));
     }
 
     /// Lints the fleet as registered so far: full static analysis
@@ -444,7 +368,7 @@ impl DetectionService {
     /// installed tee). A nonzero counter means the durable log is
     /// missing records and replay from it is incomplete.
     pub fn journal_errors(&self) -> u64 {
-        self.shared.journal_errors.load(Ordering::Relaxed)
+        self.shared.with_journal(|journal, _| journal.errors()).unwrap_or(0)
     }
 
     /// The kind and message of the first journal append that failed,
@@ -452,7 +376,7 @@ impl DetectionService {
     /// a record the sink refused as past its size cap; any other kind
     /// is an OS append or fsync failure.
     pub fn first_journal_error(&self) -> Option<(io::ErrorKind, String)> {
-        self.shared.first_journal_error.get().cloned()
+        self.shared.with_journal(|journal, _| journal.first_error()).flatten()
     }
 
     /// The service's hybrid logical clock; `last().physical` is a
@@ -604,7 +528,11 @@ impl DetectionService {
         route_realtime(&self.shared, self.backend.as_ref());
         // Commit after the drain above, so real-time verdicts of
         // already-journaled events land in this window, not the next.
-        self.shared.journal_commit(now, &snap_map, &report);
+        // The window's events were journaled as their frames arrived.
+        self.shared.with_journal(|journal, pending| {
+            journal.commit(&[], pending, now, &snap_map, &report);
+            pending.clear();
+        });
 
         quarantined.sort();
         FleetReport { report, quarantined }
@@ -650,7 +578,7 @@ fn route_realtime(shared: &ServiceShared, backend: &dyn DetectionBackend) {
         return;
     }
     shared.verdicts.lock().unwrap_or_else(|e| e.into_inner()).extend(verdicts.iter().cloned());
-    shared.journal_pending(&verdicts);
+    shared.with_journal(|_, pending| pending.extend_from_slice(&verdicts));
     let now = shared.clock.last().physical;
     push_verdicts(shared, verdicts.iter(), now);
 }
@@ -736,7 +664,7 @@ fn session_loop(
                             // Journal in the global namespace, like the
                             // event frames — the replayer then resolves
                             // and checks exactly what the service did.
-                            shared.journal_register(global, &name, now);
+                            shared.with_journal(|journal, _| journal.register(global, &name, now));
                         }
                         None => {
                             session.unresolved.lock().unwrap_or_else(|e| e.into_inner()).push(name)
@@ -758,7 +686,7 @@ fn session_loop(
                     };
                     // Tee the frame to the journal before ingestion, so
                     // every verdict's cause precedes it in the log.
-                    shared.journal_events(&remapped);
+                    shared.with_journal(|journal, _| journal.events(&remapped));
                     for event in &remapped {
                         producer.observe(*event);
                     }
@@ -867,7 +795,7 @@ fn worker_checkpoint(
     );
     // Stage for the next committing fleet barrier (violations only:
     // the replayer recomputes violations, never predictions).
-    shared.journal_pending(&report.violations);
+    shared.with_journal(|_, pending| pending.extend_from_slice(&report.violations));
 
     // Translate back into the worker's namespace.
     let mut translated = report;
@@ -1116,7 +1044,7 @@ mod tests {
     #[derive(Debug)]
     struct FailingSink;
 
-    impl EventSink for FailingSink {
+    impl JournalSink for FailingSink {
         fn append_epoch(&self, _: Nanos) -> io::Result<()> {
             Err(io::Error::other("disk gone"))
         }
@@ -1126,9 +1054,6 @@ mod tests {
         fn append_events(&self, _: &[Event]) -> io::Result<()> {
             Err(io::Error::other("disk gone"))
         }
-    }
-
-    impl ViolationSink for FailingSink {
         fn append_realtime(&self, _: &[Violation]) -> io::Result<()> {
             Err(io::Error::other("disk gone"))
         }

@@ -1,15 +1,70 @@
 //! The background checking routine (§4 of the paper): periodically
 //! suspends monitor operations, gathers the recorded window and the
 //! queue snapshots, and invokes the detection algorithms on them —
-//! [`Runtime::checkpoint_now`] on a thread of its own.
+//! [`Runtime::checkpoint_now`] on a thread of its own. One loop serves
+//! both the plain checker and the recovering one.
 
 use crate::runtime::Runtime;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use rmon_core::FaultReport;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The one periodic loop behind [`CheckerHandle`] and
+/// [`RecoveryChecker`](crate::RecoveryChecker): a thread that sleeps
+/// `interval`, runs [`Runtime::checkpoint_now`] and hands the report to
+/// a per-report step, until stopped. Dropping it stops the thread; the
+/// blocking join is bounded by one checking interval.
+#[derive(Debug)]
+pub(crate) struct PeriodicChecker {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<u64>>,
+}
+
+impl PeriodicChecker {
+    /// Spawns the loop over `rt` on a thread called `name`.
+    pub(crate) fn spawn(
+        rt: &Runtime,
+        interval: Duration,
+        name: &str,
+        mut step: impl FnMut(&Runtime, FaultReport) + Send + 'static,
+    ) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let rt = rt.clone();
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                let mut checks = 0u64;
+                while !stop2.load(Ordering::Relaxed) {
+                    std::thread::sleep(interval);
+                    if stop2.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let report = rt.checkpoint_now();
+                    checks += 1;
+                    step(&rt, report);
+                }
+                checks
+            })
+            .expect("spawn checker thread");
+        PeriodicChecker { stop, thread: Some(thread) }
+    }
+
+    /// Stops the loop and returns how many checks it ran.
+    pub(crate) fn stop(&mut self) -> u64 {
+        self.stop.store(true, Ordering::Relaxed);
+        self.thread.take().map(|t| t.join().unwrap_or(0)).unwrap_or(0)
+    }
+}
+
+impl Drop for PeriodicChecker {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
 
 /// Handle to the background checker thread.
 ///
@@ -30,35 +85,18 @@ use std::time::Duration;
 /// explicit, inspectable shutdown.
 #[derive(Debug)]
 pub struct CheckerHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<u64>>,
+    checker: PeriodicChecker,
     rx: Receiver<FaultReport>,
 }
 
 impl CheckerHandle {
     /// Spawns a checker over `rt`, waking every `interval`.
     pub fn spawn(rt: &Runtime, interval: Duration) -> CheckerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let rt = rt.clone();
-        let (tx, rx): (Sender<FaultReport>, Receiver<FaultReport>) = unbounded();
-        let thread = std::thread::Builder::new()
-            .name("rmon-checker".into())
-            .spawn(move || {
-                let mut checks = 0u64;
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let report = rt.checkpoint_now();
-                    checks += 1;
-                    let _ = tx.send(report);
-                }
-                checks
-            })
-            .expect("spawn checker thread");
-        CheckerHandle { stop, thread: Some(thread), rx }
+        let (tx, rx) = unbounded();
+        let checker = PeriodicChecker::spawn(rt, interval, "rmon-checker", move |_, report| {
+            let _ = tx.send(report);
+        });
+        CheckerHandle { checker, rx }
     }
 
     /// Receiver of checkpoint reports, in order.
@@ -68,17 +106,7 @@ impl CheckerHandle {
 
     /// Stops the checker and returns how many checks it ran.
     pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.thread.take().map(|t| t.join().unwrap_or(0)).unwrap_or(0)
-    }
-}
-
-impl Drop for CheckerHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.checker.stop()
     }
 }
 

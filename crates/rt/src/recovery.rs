@@ -6,8 +6,9 @@
 //! should be incorporated into the model to handle the faults detected
 //! by recovering the errors."*
 //!
-//! [`RecoveryChecker`] is the periodic checking routine with a recovery
-//! stage bolted on: after each checkpoint it inspects the report and
+//! [`RecoveryChecker`] is the periodic checking routine (the loop behind
+//! [`CheckerHandle`](crate::CheckerHandle)) with a recovery stage as its
+//! per-report step: after each checkpoint it inspects the report and
 //! applies the matching recovery action —
 //!
 //! * a **stuck monitor** (lock never released: faults W6/X2/T1,
@@ -23,13 +24,12 @@
 //! the detector actually reported, and every action is recorded in the
 //! [`RecoveryLog`].
 
+use crate::checker::PeriodicChecker;
 use crate::raw::RawCore;
 use crate::runtime::Runtime;
 use parking_lot::Mutex;
 use rmon_core::{FaultReport, MonitorId, Nanos, RuleId};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One applied recovery action.
@@ -71,8 +71,7 @@ impl RecoveryLog {
 /// in addition to reporting it.
 #[derive(Debug)]
 pub struct RecoveryChecker {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<u64>>,
+    checker: PeriodicChecker,
     log: Arc<RecoveryLog>,
 }
 
@@ -80,28 +79,12 @@ impl RecoveryChecker {
     /// Spawns the checking-plus-recovery routine over `rt`, watching
     /// the given monitors.
     pub fn spawn(rt: &Runtime, monitors: Vec<Weak<RawCore>>, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
         let log = Arc::new(RecoveryLog::default());
-        let stop2 = Arc::clone(&stop);
         let log2 = Arc::clone(&log);
-        let rt = rt.clone();
-        let thread = std::thread::Builder::new()
-            .name("rmon-recovery".into())
-            .spawn(move || {
-                let mut checks = 0u64;
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let report = rt.checkpoint_now();
-                    checks += 1;
-                    apply_recovery(&rt, &monitors, &report, &log2);
-                }
-                checks
-            })
-            .expect("spawn recovery checker thread");
-        RecoveryChecker { stop, thread: Some(thread), log }
+        let checker = PeriodicChecker::spawn(rt, interval, "rmon-recovery", move |rt, report| {
+            apply_recovery(rt, &monitors, &report, &log2);
+        });
+        RecoveryChecker { checker, log }
     }
 
     /// The recovery log.
@@ -111,17 +94,7 @@ impl RecoveryChecker {
 
     /// Stops the checker; returns how many checks ran.
     pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.thread.take().map(|t| t.join().unwrap_or(0)).unwrap_or(0)
-    }
-}
-
-impl Drop for RecoveryChecker {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.checker.stop()
     }
 }
 

@@ -54,12 +54,12 @@ use rmon_core::detect::{
     CheckpointScope, ClockFn, DetectionBackend, InlineBackend, ServiceStats, SnapshotProvider,
 };
 use rmon_core::{
-    DetectorConfig, Event, EventKind, EventSink, FaultReport, Mode, MonitorId, MonitorState, Nanos,
-    Pid, ProcName, RuleId, Violation, ViolationSink,
+    DetectorConfig, Event, EventKind, FaultReport, Journal, JournalSink, Mode, MonitorId,
+    MonitorState, Nanos, Pid, ProcName, RuleId, Violation,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// What to do when a real-time calling-order check flags a call.
@@ -120,12 +120,13 @@ pub(crate) struct RtInner {
     next_monitor_id: AtomicU32,
     reports: Mutex<Vec<FaultReport>>,
     realtime: Mutex<Vec<Violation>>,
-    /// Durable journal endpoints (usually two views of one
-    /// `rmon-storage` `DurableSink`). Appends happen at registration
-    /// time and checkpoint barriers only — never on the per-event hot
-    /// path; the recorder's in-memory window is the staging area.
-    event_sink: Option<Arc<dyn EventSink>>,
-    violation_sink: Option<Arc<dyn ViolationSink>>,
+    /// The durable journal (usually over an `rmon-storage`
+    /// `DurableSink`). Appends happen at registration time and
+    /// checkpoint barriers only — never on the per-event hot path; the
+    /// recorder's in-memory window is the staging area. A failing
+    /// journal never blocks or panics detection: it counts its failures
+    /// ([`Runtime::journal_errors`]).
+    journal: Option<Journal>,
     /// The checkpoint lock (see the module docs): held from before the
     /// monitors are suspended until the window is checked and
     /// journaled, so windows reach the backend — and `Events → Realtime
@@ -133,13 +134,6 @@ pub(crate) struct RtInner {
     /// guards what only a barrier touches.
     barrier: Mutex<BarrierState>,
     pause: PauseCounters,
-    /// Journal appends that failed (disk errors). Detection itself
-    /// never blocks or panics on a failing journal; operators watch
-    /// this counter ([`Runtime::journal_errors`]).
-    journal_errors: AtomicU64,
-    /// The first failed append's kind and message
-    /// ([`Runtime::first_journal_error`]).
-    first_journal_error: OnceLock<(std::io::ErrorKind, String)>,
 }
 
 /// What one barrier at a time works with, behind the checkpoint lock.
@@ -301,18 +295,8 @@ impl RtInner {
         // Journal the registration before any of the monitor's events
         // can drain: a replayer resolving the name back to its spec
         // then always sees the Register record first.
-        if let Some(sink) = &self.event_sink {
-            self.journal_try(sink.append_register(core.id(), &spec.name, now));
-        }
-    }
-
-    /// Folds a journal append result into the error counter, keeping
-    /// the first error — the journal is an observer, never a gate on
-    /// detection.
-    fn journal_try(&self, result: std::io::Result<()>) {
-        if let Err(e) = result {
-            self.journal_errors.fetch_add(1, Ordering::Relaxed);
-            self.first_journal_error.get_or_init(|| (e.kind(), e.to_string()));
+        if let Some(journal) = &self.journal {
+            journal.register(core.id(), &spec.name, now);
         }
     }
 
@@ -485,7 +469,7 @@ impl RtInner {
     /// their eventual arrival.
     pub(crate) fn barrier(&self, scope: CheckpointScope) -> FaultReport {
         let mut barrier = self.barrier.lock();
-        let BarrierState { window, journal } = &mut *barrier;
+        let BarrierState { window, journal: state } = &mut *barrier;
         let in_scope: Vec<Arc<RawCore>> = self
             .live_monitors()
             .into_iter()
@@ -541,69 +525,52 @@ impl RtInner {
             self.realtime.lock().extend(vs);
         }
         self.reports.lock().push(report.clone());
-        self.journal_checkpoint(journal, now, window, &snaps, &report);
+        if let Some(journal) = &self.journal {
+            self.journal_checkpoint(journal, state, now, window, &snaps, &report);
+        }
         recycle_window(window);
         report
     }
 
-    /// Journals one checkpoint commit sequence: `Events(window)` →
-    /// `Realtime(verdicts since the last barrier)` → `Checkpoint`
-    /// (the commit marker) → sync. A crash anywhere inside the
-    /// sequence leaves the journal with a clean committed prefix —
-    /// the replayer discards trailing records with no marker. Empty
-    /// windows and empty verdict batches are elided (the replayer
-    /// stages nothing for them anyway).
+    /// Journals one checkpoint through [`Journal::commit`], choosing
+    /// which verdicts are ready: only those whose causing event sits in
+    /// a committed window (see [`JournalState`]); the rest are held
+    /// back to a later barrier.
     fn journal_checkpoint(
         &self,
-        journal: &mut JournalState,
+        journal: &Journal,
+        state: &mut JournalState,
         now: Nanos,
         events: &[Event],
         snaps: &HashMap<MonitorId, MonitorState>,
         report: &FaultReport,
     ) {
-        if self.event_sink.is_none() && self.violation_sink.is_none() {
-            return;
+        state.commit_window(events);
+        let mut candidates = std::mem::take(&mut state.holdback);
+        {
+            let realtime = self.realtime.lock();
+            candidates.extend_from_slice(&realtime[state.examined_realtime..]);
+            state.examined_realtime = realtime.len();
         }
-        if let Some(sink) = &self.event_sink {
-            if !events.is_empty() {
-                self.journal_try(sink.append_events(events));
-            }
-        }
-        if let Some(sink) = &self.violation_sink {
-            journal.commit_window(events);
-            let mut candidates = std::mem::take(&mut journal.holdback);
-            {
-                let realtime = self.realtime.lock();
-                candidates.extend_from_slice(&realtime[journal.examined_realtime..]);
-                journal.examined_realtime = realtime.len();
-            }
-            let (ready, held): (Vec<Violation>, Vec<Violation>) =
-                candidates.into_iter().partition(|v| journal.committed(v));
-            journal.holdback = held;
-            if !ready.is_empty() {
-                self.journal_try(sink.append_realtime(&ready));
-            }
-            // The checkpoint report itself can cite events outside the
-            // committed window: a *scoped* barrier leaves out-of-scope
-            // monitors running, so their freshly recorded events may
-            // reach the backend (through other threads' producer
-            // flushes) and be judged before any window drains them.
-            // Journal only the committed verdicts; hold the rest back —
-            // they re-surface as realtime records once their window
-            // commits, and the replayer compares verdict keys over the
-            // whole log, not per record.
-            let (committed, uncommitted): (Vec<Violation>, Vec<Violation>) =
-                report.violations.iter().cloned().partition(|v| journal.committed(v));
-            if uncommitted.is_empty() {
-                self.journal_try(sink.append_checkpoint(now, snaps, report));
-            } else {
-                journal.holdback.extend(uncommitted);
-                let sanitized = FaultReport { violations: committed, ..report.clone() };
-                self.journal_try(sink.append_checkpoint(now, snaps, &sanitized));
-            }
-        }
-        if let Some(sink) = &self.event_sink {
-            self.journal_try(sink.sync());
+        let (ready, held): (Vec<Violation>, Vec<Violation>) =
+            candidates.into_iter().partition(|v| state.committed(v));
+        state.holdback = held;
+        // The checkpoint report itself can cite events outside the
+        // committed window: a *scoped* barrier leaves out-of-scope
+        // monitors running, so their freshly recorded events may reach
+        // the backend (through other threads' producer flushes) and be
+        // judged before any window drains them. Journal only the
+        // committed verdicts; hold the rest back — they re-surface as
+        // realtime records once their window commits, and the replayer
+        // compares verdict keys over the whole log, not per record.
+        let (committed, uncommitted): (Vec<Violation>, Vec<Violation>) =
+            report.violations.iter().cloned().partition(|v| state.committed(v));
+        if uncommitted.is_empty() {
+            journal.commit(events, &ready, now, snaps, report);
+        } else {
+            state.holdback.extend(uncommitted);
+            let sanitized = FaultReport { violations: committed, ..report.clone() };
+            journal.commit(events, &ready, now, snaps, &sanitized);
         }
     }
 }
@@ -691,8 +658,7 @@ impl Runtime {
             park_timeout: Duration::from_secs(5),
             order_policy: OrderPolicy::Report,
             backend: BackendChoice::Default,
-            event_sink: None,
-            violation_sink: None,
+            journal: None,
         }
     }
 
@@ -759,15 +725,15 @@ impl Runtime {
     /// The report is folded into [`Self::reports`] like any other
     /// checkpoint.
     ///
-    /// With a journal installed ([`RuntimeBuilder::journal`] or either
-    /// sink), scoped checkpoints **commit**: the call becomes a scoped
+    /// With a journal installed ([`RuntimeBuilder::journal`]), scoped
+    /// checkpoints **commit**: the call becomes a scoped
     /// barrier — [`Self::checkpoint_now`]'s protocol, suspending and
     /// snapshotting only the in-scope monitors — that takes the full
     /// recorder window and journals the same `Events → Realtime →
     /// Checkpoint` sequence, so a crash between scoped checkpoints
     /// loses none of their windows.
     pub fn checkpoint_scope(&self, scope: CheckpointScope) -> FaultReport {
-        if self.inner.event_sink.is_some() || self.inner.violation_sink.is_some() {
+        if self.inner.journal.is_some() {
             return self.inner.barrier(scope);
         }
         self.inner.flush_thread_producer();
@@ -845,12 +811,12 @@ impl Runtime {
     }
 
     /// Journal appends that have failed so far (disk errors on the
-    /// configured [`EventSink`] / [`ViolationSink`]). Detection never
+    /// configured [`JournalSink`]). Detection never
     /// blocks on a failing journal; a nonzero counter means the durable
     /// log is missing records and operators should treat replay from it
     /// as incomplete.
     pub fn journal_errors(&self) -> u64 {
-        self.inner.journal_errors.load(Ordering::Relaxed)
+        self.inner.journal.as_ref().map_or(0, Journal::errors)
     }
 
     /// The kind and message of the first journal append that failed,
@@ -858,7 +824,7 @@ impl Runtime {
     /// a record the sink refused as past its size cap; any other kind
     /// is an OS append or fsync failure.
     pub fn first_journal_error(&self) -> Option<(std::io::ErrorKind, String)> {
-        self.inner.first_journal_error.get().cloned()
+        self.inner.journal.as_ref()?.first_error()
     }
 }
 
@@ -869,8 +835,7 @@ pub struct RuntimeBuilder {
     park_timeout: Duration,
     order_policy: OrderPolicy,
     backend: BackendChoice,
-    event_sink: Option<Arc<dyn EventSink>>,
-    violation_sink: Option<Arc<dyn ViolationSink>>,
+    journal: Option<Arc<dyn JournalSink>>,
 }
 
 impl RuntimeBuilder {
@@ -945,31 +910,14 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Installs a durable sink for the event-side journal stream
-    /// (epoch markers, registrations, drained windows). For a journal
-    /// the differential replayer can verify, install *both* streams —
-    /// [`Self::journal`] does that from one sink.
-    pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.event_sink = Some(sink);
-        self
-    }
-
-    /// Installs a durable sink for the verdict-side journal stream
-    /// (real-time violations, checkpoint reports with snapshots).
-    pub fn violation_sink(mut self, sink: Arc<dyn ViolationSink>) -> Self {
-        self.violation_sink = Some(sink);
-        self
-    }
-
-    /// Journals both streams through one sink (typically an
-    /// `rmon-storage` `DurableSink`), so events and verdicts interleave
-    /// in a single totally ordered log — the layout the commit protocol
+    /// Journals the runtime through one sink (typically an
+    /// `rmon-storage` `DurableSink`): events and verdicts interleave in
+    /// a single totally ordered log — the layout the commit protocol
     /// and the differential replayer assume. An `Epoch` record is
     /// appended at [`Self::build`]; every [`Runtime::checkpoint_now`]
     /// barrier then commits `Events → Realtime → Checkpoint` and syncs.
-    pub fn journal<S: EventSink + ViolationSink + 'static>(mut self, sink: Arc<S>) -> Self {
-        self.event_sink = Some(Arc::clone(&sink) as Arc<dyn EventSink>);
-        self.violation_sink = Some(sink as Arc<dyn ViolationSink>);
+    pub fn journal<S: JournalSink + 'static>(mut self, sink: Arc<S>) -> Self {
+        self.journal = Some(sink);
         self
     }
 
@@ -1006,12 +954,9 @@ impl RuntimeBuilder {
                 next_monitor_id: AtomicU32::new(0),
                 reports: Mutex::new(Vec::new()),
                 realtime: Mutex::new(Vec::new()),
-                event_sink: self.event_sink,
-                violation_sink: self.violation_sink,
+                journal: self.journal.map(Journal::new),
                 barrier: Mutex::new(BarrierState::default()),
                 pause: PauseCounters::default(),
-                journal_errors: AtomicU64::new(0),
-                first_journal_error: OnceLock::new(),
             }),
         };
         rt.inner.backend.set_snapshot_provider(rt.snapshot_provider());
@@ -1019,8 +964,8 @@ impl RuntimeBuilder {
         // numbers restart from zero behind this record, so a replayer
         // resets its detector state here (process restarts journal into
         // the same log as fresh epochs).
-        if let Some(sink) = &rt.inner.event_sink {
-            rt.inner.journal_try(sink.append_epoch(rt.inner.recorder.now()));
+        if let Some(journal) = &rt.inner.journal {
+            journal.epoch(rt.inner.recorder.now());
         }
         rt
     }
@@ -1424,7 +1369,7 @@ mod tests {
     #[derive(Debug)]
     struct FailingSink;
 
-    impl EventSink for FailingSink {
+    impl JournalSink for FailingSink {
         fn append_epoch(&self, _: Nanos) -> std::io::Result<()> {
             Err(std::io::Error::other("disk gone"))
         }
@@ -1434,9 +1379,6 @@ mod tests {
         fn append_events(&self, _: &[Event]) -> std::io::Result<()> {
             Err(std::io::Error::other("disk gone"))
         }
-    }
-
-    impl ViolationSink for FailingSink {
         fn append_realtime(&self, _: &[Violation]) -> std::io::Result<()> {
             Err(std::io::Error::other("disk gone"))
         }

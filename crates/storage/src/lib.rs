@@ -7,8 +7,8 @@
 //! retention, and a differential replayer that re-runs detection over
 //! the persisted log and checks it reproduces the live verdicts.
 //!
-//! The wire format and the sink traits live in [`rmon_core::oplog`]
-//! (so `rmon-rt` journals through `Arc<dyn EventSink>` without
+//! The wire format and the sink trait live in [`rmon_core::oplog`]
+//! (so `rmon-rt` journals through `Arc<dyn JournalSink>` without
 //! depending on this crate); the on-disk format is specified in
 //! `docs/STORAGE.md`, and `docs/OPERATIONS.md` covers tuning.
 //!
@@ -22,7 +22,7 @@
 //! * [`oplog`] — the [`Oplog`] engine: a directory of segments named
 //!   by first LSN, rotation, retention, fsync policy, and the
 //!   [`Oplog::compact_sealed`] archive pass.
-//! * [`sink`] — [`DurableSink`]: both core sink traits over one
+//! * [`sink`] — [`DurableSink`]: the core journal sink over one
 //!   oplog; what a runtime plugs in.
 //! * [`replay`] — the differential replayer and its
 //!   [`ReplayOutcome`] acceptance check.
@@ -30,7 +30,7 @@
 //! ## Example
 //!
 //! ```
-//! use rmon_core::oplog::{EventSink, ViolationSink};
+//! use rmon_core::oplog::JournalSink;
 //! use rmon_core::{FaultReport, MonitorId, Nanos};
 //! use rmon_storage::{DurableSink, OplogConfig};
 //! use std::collections::HashMap;
@@ -40,7 +40,7 @@
 //! sink.append_epoch(Nanos::ZERO)?;
 //! sink.append_register(MonitorId::new(0), "mailbox", Nanos::new(1))?;
 //! sink.append_checkpoint(Nanos::new(2), &HashMap::new(), &FaultReport::default())?;
-//! EventSink::sync(&sink)?;
+//! sink.sync()?;
 //! assert_eq!(sink.next_lsn(), 3);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), std::io::Error>(())

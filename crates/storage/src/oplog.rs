@@ -257,11 +257,6 @@ impl Oplog {
         &self.dir
     }
 
-    /// Bytes in the active (append) segment, including its header.
-    pub fn active_segment_bytes(&self) -> u64 {
-        self.writer.bytes()
-    }
-
     /// Sealed segment paths in LSN order (for the compaction pass).
     pub(crate) fn sealed_paths(&self) -> Vec<PathBuf> {
         self.sealed.iter().map(|(_, p)| p.clone()).collect()

@@ -1,25 +1,23 @@
-//! [`DurableSink`]: both `rmon-core` sink traits over one segmented
+//! [`DurableSink`]: the `rmon-core` journal sink over one segmented
 //! [`Oplog`] — the piece a runtime plugs in to journal durably.
 
 use crate::oplog::{Oplog, OplogConfig, RecoveryReport};
 use parking_lot::Mutex;
 use rmon_core::oplog::{
-    encode_events_record, encode_realtime_record, encode_record, EventSink, Record, ViolationSink,
+    encode_events_record, encode_realtime_record, encode_record, JournalSink, Record,
 };
 use rmon_core::{Event, FaultReport, MonitorId, MonitorState, Nanos, Violation};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 
-/// A durable journal endpoint: implements both [`EventSink`] and
-/// [`ViolationSink`] by encoding each record ([`encode_record`]) and
-/// appending it to a shared [`Oplog`].
+/// A durable journal endpoint: implements [`JournalSink`] by encoding
+/// each record ([`encode_record`]) and appending it to one [`Oplog`].
 ///
-/// Both trait objects are usually the *same* `Arc<DurableSink>` — the
-/// event and verdict streams then interleave in one totally ordered
-/// log, which is what the commit protocol (Events → Realtime →
-/// Checkpoint, see `rmon_core::oplog`) and the differential replayer
-/// assume. The internal mutex serializes appends; all appends happen on
+/// Events and verdicts interleave in one totally ordered log, which is
+/// what the commit protocol (Events → Realtime → Checkpoint, see
+/// `rmon_core::oplog`) and the differential replayer assume. The
+/// internal mutex serializes appends; all appends happen on
 /// checkpoint/registration paths, never per event.
 #[derive(Debug)]
 pub struct DurableSink {
@@ -65,7 +63,7 @@ impl DurableSink {
     }
 }
 
-impl EventSink for DurableSink {
+impl JournalSink for DurableSink {
     fn append_epoch(&self, now: Nanos) -> io::Result<()> {
         self.append(&Record::Epoch { time: now })
     }
@@ -82,12 +80,6 @@ impl EventSink for DurableSink {
         append_split(&mut self.oplog.lock(), events, encode_events_record)
     }
 
-    fn sync(&self) -> io::Result<()> {
-        self.oplog.lock().sync()
-    }
-}
-
-impl ViolationSink for DurableSink {
     /// A batch whose encoding is past [`OplogConfig::max_record_bytes`]
     /// is written as consecutive `Realtime` records under the cap, as
     /// windows are split into `Events` records.
@@ -107,10 +99,7 @@ impl ViolationSink for DurableSink {
         snapshots: &HashMap<MonitorId, MonitorState>,
         report: &FaultReport,
     ) -> io::Result<()> {
-        let mut snaps: Vec<(MonitorId, MonitorState)> =
-            snapshots.iter().map(|(&id, s)| (id, s.clone())).collect();
-        snaps.sort_by_key(|(id, _)| *id);
-        let mut checkpoint = Record::Checkpoint { now, snapshots: snaps, report: report.clone() };
+        let mut checkpoint = Record::checkpoint(now, snapshots, report);
         let mut payload = encode_record(&checkpoint);
         let mut oplog = self.oplog.lock();
         if payload.len() > oplog.config().max_record_bytes as usize && !report.violations.is_empty()
@@ -122,6 +111,10 @@ impl ViolationSink for DurableSink {
             payload = encode_record(&checkpoint);
         }
         oplog.append(&payload).map(drop)
+    }
+
+    fn sync(&self) -> io::Result<()> {
+        self.oplog.lock().sync()
     }
 }
 
@@ -174,7 +167,7 @@ mod tests {
         let mut snaps = HashMap::new();
         snaps.insert(m, MonitorState::new(0));
         sink.append_checkpoint(Nanos::new(9), &snaps, &FaultReport::default()).unwrap();
-        EventSink::sync(&sink).unwrap();
+        JournalSink::sync(&sink).unwrap();
         assert_eq!(sink.next_lsn(), 5);
         drop(sink);
 
@@ -214,7 +207,7 @@ mod tests {
         };
         let snaps = HashMap::from([(m, MonitorState::new(1))]);
         sink.append_checkpoint(Nanos::new(99), &snaps, &report).unwrap();
-        EventSink::sync(&sink).unwrap();
+        JournalSink::sync(&sink).unwrap();
         drop(sink);
 
         let records = read_records(&dir);
@@ -259,7 +252,7 @@ mod tests {
             witness: vec![2, 1],
         });
         sink.append_checkpoint(Nanos::new(9), &HashMap::new(), &report).unwrap();
-        EventSink::sync(&sink).unwrap();
+        JournalSink::sync(&sink).unwrap();
         drop(sink);
 
         let records = read_records(&dir);

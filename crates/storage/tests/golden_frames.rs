@@ -4,7 +4,7 @@
 //! golden bytes below. Any change to the frame layout, the CRC or the
 //! record codec fails here before it can reach a disk.
 
-use rmon_core::oplog::{crc32, EventSink, ViolationSink};
+use rmon_core::oplog::{crc32, JournalSink};
 use rmon_core::{
     CondId, Event, FaultKind, FaultReport, MonitorId, MonitorState, Nanos, Pid, PidProc,
     PredictedViolation, ProcName, RuleId, VClock, Violation,
@@ -87,7 +87,7 @@ fn golden_segment() -> Vec<u8> {
         window_end: Nanos::new(99),
     };
     sink.append_checkpoint(Nanos::new(99), &snaps, &report).unwrap();
-    EventSink::sync(&sink).unwrap();
+    JournalSink::sync(&sink).unwrap();
     assert_eq!(sink.segment_count(), 1);
     drop(sink);
     let bytes = std::fs::read(dir.join(format!("oplog-{:020}.seg", 0))).unwrap();

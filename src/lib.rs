@@ -71,9 +71,9 @@ pub mod prelude {
     };
     pub use rmon_core::{
         analyze, analyze_all, analyze_fleet, monitor_spec, taxonomy, DetectorConfig, DiagCode,
-        Diagnostic, Event, EventKind, EventSink, FaultKind, FaultLevel, FaultReport, LintReport,
+        Diagnostic, Event, EventKind, FaultKind, FaultLevel, FaultReport, JournalSink, LintReport,
         MemorySink, Mode, MonitorClass, MonitorId, MonitorSpec, MonitorState, Nanos, PathExpr, Pid,
-        PredictMode, PredictedViolation, RuleId, Severity, VClock, Violation, ViolationSink,
+        PredictMode, PredictedViolation, RuleId, Severity, VClock, Violation,
     };
     pub use rmon_net::{DetectionService, RemoteBackend, RemoteConfig};
     pub use rmon_rt::{

@@ -256,7 +256,7 @@ fn rt_campaign_predicts_across_real_threads() {
     let sink = Arc::new(MemorySink::new());
     let rt = Runtime::builder(predict_cfg(t_limit))
         .park_timeout(Duration::from_secs(10))
-        .event_sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .journal(Arc::clone(&sink))
         .build();
     let al = MonitorSpec::allocator("res", 1);
     let mon = Arc::new(Monitor::new(&rt, al.spec.clone(), ()));
