@@ -39,7 +39,7 @@
 //! # Why per-thread handles are sound
 //!
 //! Real-time (Algorithm-3) order state is **per-caller**: the
-//! Request-List and path-expression NFA states are keyed by [`Pid`],
+//! Request-List and call-order table states are keyed by [`Pid`],
 //! so events of different pids commute. A handle preserves its own
 //! thread's event order (its buffer is FIFO, and per-producer channel
 //! order is FIFO), which is exactly the per-pid ordering the engine's

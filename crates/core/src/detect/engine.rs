@@ -305,7 +305,7 @@ impl Detector {
         checker.order.apply(&checker.spec, event, out);
         if matches!(event.kind, crate::event::EventKind::Terminate) {
             // Free the caller's call-order state so long-running
-            // detectors don't accumulate NFA state for every process
+            // detectors don't accumulate order state for every process
             // that ever called. Stragglers (older events still buffered
             // in a producer handle) are blocked by the watermark above;
             // a caller that *resumes* after recovery (terminate_inside
@@ -569,7 +569,7 @@ impl Detector {
             for (monitor, window) in &predict_windows {
                 if let Some(checker) = self.monitors.get(monitor) {
                     predict::predict_window(
-                        *monitor,
+                        &checker.order,
                         &checker.spec,
                         &self.cfg,
                         window,

@@ -27,7 +27,7 @@
 //! * **Global call-order search** ([`RuleId::St8CallOrder`]) — when the
 //!   executed *global* call sequence conforms to the monitor's declared
 //!   path expression, a depth-first search over legal linearizations
-//!   (frontier = per-process next-event vector, path-NFA state set
+//!   (frontier = per-process next-event vector, call-order table state
 //!   alongside, memoized and budget-capped) looks for a reordering in
 //!   which some call falls outside the declared order.
 //!
@@ -43,6 +43,8 @@
 use crate::config::DetectorConfig;
 use crate::event::{Event, EventKind};
 use crate::ids::{MonitorId, Pid};
+use crate::lists::OrderState;
+use crate::path::CompiledPath;
 use crate::rule::RuleId;
 use crate::spec::{MonitorSpec, ProcRole};
 use crate::time::Nanos;
@@ -186,10 +188,11 @@ pub fn is_legal_linearization(witness: &[u64], window: &[Event], ann: &Annotatio
 
 /// Runs every predictor over one monitor's checkpoint window (assumed
 /// `seq`-sorted, as the engine's replay produces it), appending
-/// findings to `out`. The entry point behind
-/// [`crate::PredictMode::Checkpoint`].
+/// findings to `out`. `order` is the monitor's Algorithm-3 state: the
+/// call-order search walks the compiled table it already holds. The
+/// entry point behind [`crate::PredictMode::Checkpoint`].
 pub fn predict_window(
-    monitor: MonitorId,
+    order: &OrderState,
     spec: &MonitorSpec,
     cfg: &DetectorConfig,
     window: &[Event],
@@ -200,8 +203,10 @@ pub fn predict_window(
     if window.len() < 2 {
         return;
     }
-    predict_hold_timeouts(monitor, spec, cfg, window, ann, now, out);
-    predict_call_order(monitor, spec, window, ann, now, out);
+    predict_hold_timeouts(order.monitor(), spec, cfg, window, ann, now, out);
+    if let Some(compiled) = order.call_order() {
+        predict_call_order(order.monitor(), spec, compiled, window, ann, now, out);
+    }
 }
 
 /// ST-8c retiming: finds Request/Release pairs (and still-open
@@ -332,8 +337,8 @@ fn retimed_witness(window: &[Event], ann: &Annotation, ri: usize, li: Option<usi
 }
 
 /// Global call-order prediction: a depth-first search over the legal
-/// linearizations of the window, advancing the declared path
-/// expression's NFA on every `Enter`, reporting linearizations in
+/// linearizations of the window, stepping the declared call order's
+/// table on every `Enter`, reporting linearizations in
 /// which a call has no legal continuation.
 ///
 /// The search only runs when the *executed* global call sequence is
@@ -345,22 +350,18 @@ fn retimed_witness(window: &[Event], ann: &Annotation, ri: usize, li: Option<usi
 fn predict_call_order(
     monitor: MonitorId,
     spec: &MonitorSpec,
+    compiled: &CompiledPath,
     window: &[Event],
     ann: &Annotation,
     now: Nanos,
     out: &mut Vec<PredictedViolation>,
 ) {
-    let Some(path) = &spec.call_order else { return };
-    let Ok(compiled) = path.compile(|name| spec.proc_by_name(name)) else { return };
     // Guard: executed global conformance.
-    {
-        let mut states = compiled.initial_states();
-        for e in window {
-            if matches!(e.kind, EventKind::Enter { .. })
-                && compiled.advance_states(&mut states, e.proc_name).is_err()
-            {
-                return;
-            }
+    let mut state = compiled.start();
+    for e in window.iter().filter(|e| matches!(e.kind, EventKind::Enter { .. })) {
+        match compiled.step(state, e.proc_name) {
+            Some(next) => state = next,
+            None => return,
         }
     }
     // Per-process event lists (program order) and, for every event, how
@@ -394,15 +395,14 @@ fn predict_call_order(
         window,
         per_pid: &per_pid,
         need: &need,
-        compiled: &compiled,
+        compiled,
         budget: ORDER_SEARCH_BUDGET,
         memo: HashSet::new(),
         offenders: HashMap::new(),
     };
     let mut positions = vec![0usize; per_pid.len()];
-    let mut states = compiled.initial_states();
     let mut prefix: Vec<u64> = Vec::with_capacity(window.len());
-    search.dfs(&mut positions, &mut states, &mut prefix);
+    search.dfs(&mut positions, compiled.start(), &mut prefix);
     let mut found: Vec<(usize, Vec<u64>)> = search.offenders.into_iter().collect();
     found.sort_unstable_by_key(|(i, _)| *i);
     for (i, witness) in found {
@@ -421,7 +421,7 @@ fn predict_call_order(
                  the declared call order {}",
                 spec.proc_display(e.proc_name),
                 e.pid,
-                path.source()
+                spec.call_order.as_ref().map(|p| p.source()).unwrap_or_default()
             ),
         )
         .with_pid(e.pid)
@@ -438,24 +438,25 @@ struct OrderSearch<'a> {
     window: &'a [Event],
     per_pid: &'a [Vec<usize>],
     need: &'a [Vec<usize>],
-    compiled: &'a crate::path::CompiledPath,
+    compiled: &'a CompiledPath,
     budget: usize,
-    memo: HashSet<(Vec<usize>, Vec<bool>)>,
+    memo: HashSet<(Vec<usize>, u32)>,
     /// Offending window index → witness linearization (first found).
     offenders: HashMap<usize, Vec<u64>>,
 }
 
 impl OrderSearch<'_> {
     /// Explores every legal linearization reachable from the current
-    /// frontier. On a failing NFA advance the offending event and its
-    /// witness are recorded and that branch is cut (the automaton has
-    /// no continuation); the search keeps going for other offenders.
-    fn dfs(&mut self, positions: &mut Vec<usize>, states: &mut Vec<bool>, prefix: &mut Vec<u64>) {
+    /// frontier. On a call without a transition the offending event
+    /// and its witness are recorded and that branch is cut (the order
+    /// has no continuation); the search keeps going for other
+    /// offenders.
+    fn dfs(&mut self, positions: &mut Vec<usize>, state: u32, prefix: &mut Vec<u64>) {
         if self.budget == 0 {
             return;
         }
         self.budget -= 1;
-        if !self.memo.insert((positions.clone(), states.clone())) {
+        if !self.memo.insert((positions.clone(), state)) {
             return;
         }
         for p in 0..self.per_pid.len() {
@@ -465,9 +466,11 @@ impl OrderSearch<'_> {
                 continue;
             }
             let e = &self.window[i];
-            let is_call = matches!(e.kind, EventKind::Enter { .. });
-            let mut next_states = states.clone();
-            if is_call && self.compiled.advance_states(&mut next_states, e.proc_name).is_err() {
+            let next = match e.kind {
+                EventKind::Enter { .. } => self.compiled.step(state, e.proc_name),
+                _ => Some(state),
+            };
+            let Some(next) = next else {
                 // Violation in this linearization: witness = what was
                 // scheduled so far, the offending call, and a legal
                 // completion (sequence order of the rest — always legal
@@ -484,12 +487,10 @@ impl OrderSearch<'_> {
                     self.offenders.insert(i, witness);
                 }
                 continue;
-            }
+            };
             positions[p] += 1;
             prefix.push(e.seq);
-            let mut saved = std::mem::replace(states, next_states);
-            self.dfs(positions, states, prefix);
-            std::mem::swap(states, &mut saved);
+            self.dfs(positions, next, prefix);
             prefix.pop();
             positions[p] -= 1;
         }
@@ -604,7 +605,7 @@ mod tests {
         // hold could have started in the earliest slot (t=10): 70ns.
         let cfg = DetectorConfig::builder().t_limit(Nanos::new(50)).build();
         let mut out = Vec::new();
-        predict_window(M, &spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
+        predict_window(&OrderState::new(M, &spec), &spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
         let hold: Vec<_> =
             out.iter().filter(|p| p.violation.rule == RuleId::St8HoldTimeout).collect();
         assert_eq!(hold.len(), 1, "{out:?}");
@@ -624,7 +625,7 @@ mod tests {
         // reaches request·request, outside `path (request ; release)*`.
         let cfg = DetectorConfig::without_timeouts();
         let mut out = Vec::new();
-        predict_window(M, &spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
+        predict_window(&OrderState::new(M, &spec), &spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
         let order: Vec<_> =
             out.iter().filter(|p| p.violation.rule == RuleId::St8CallOrder).collect();
         // The illegal reordering request·request is reachable two ways
@@ -647,7 +648,7 @@ mod tests {
         let ann = Annotation::over_window(&w);
         let cfg = DetectorConfig::builder().t_limit(Nanos::new(15)).build();
         let mut out = Vec::new();
-        predict_window(M, &spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
+        predict_window(&OrderState::new(M, &spec), &spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
         // Each executed hold is 30ns > Tlimit=15 — the *real* timer's
         // finding; prediction must not re-report executed violations,
         // and with a unique linearization nothing else is feasible.
@@ -676,7 +677,8 @@ mod tests {
         let ann = Annotation::over_window(&w);
         let cfg = DetectorConfig::without_timeouts();
         let mut out = Vec::new();
-        predict_window(M, &al.spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
+        let order = OrderState::new(M, &al.spec);
+        predict_window(&order, &al.spec, &cfg, &w, &ann, Nanos::new(90), &mut out);
         assert!(out.iter().all(|p| p.violation.rule != RuleId::St8CallOrder), "{out:?}");
     }
 }

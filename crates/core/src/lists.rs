@@ -668,21 +668,34 @@ pub struct OrderState {
     /// acquisition time: the paper's Request-List.
     request_list: Vec<(Pid, Nanos)>,
     compiled: Option<CompiledPath>,
-    /// NFA state sets per process.
-    order_states: HashMap<Pid, Vec<bool>>,
+    /// Each calling process's state in `compiled`.
+    order_states: HashMap<Pid, u32>,
 }
 
 impl OrderState {
     /// Builds the order state for a monitor, compiling its declared
     /// call-order path expression if it has one.
     ///
-    /// A path expression naming undeclared procedures is ignored (the
-    /// spec constructors guarantee well-formedness; hand-built specs
-    /// fail softly).
+    /// A path expression that does not compile — it names undeclared
+    /// procedures, or needs more than [`CompiledPath::MAX_STATES`]
+    /// states — is ignored (the spec constructors reject both through
+    /// the analyzer, as `RML010` and `RML016`; hand-built specs fail
+    /// softly).
     pub fn new(monitor: MonitorId, spec: &MonitorSpec) -> Self {
         let compiled =
             spec.call_order.as_ref().and_then(|p| p.compile(|name| spec.proc_by_name(name)).ok());
         OrderState { monitor, request_list: Vec::new(), compiled, order_states: HashMap::new() }
+    }
+
+    /// The compiled call order this monitor checks, if it declares one
+    /// that compiles.
+    pub fn call_order(&self) -> Option<&CompiledPath> {
+        self.compiled.as_ref()
+    }
+
+    /// The monitor this state belongs to.
+    pub fn monitor(&self) -> MonitorId {
+        self.monitor
     }
 
     /// The current Request-List.
@@ -703,9 +716,10 @@ impl OrderState {
             EventKind::Enter { .. } => {
                 // Generalized call-order check on every call attempt.
                 if let Some(compiled) = &self.compiled {
-                    let states =
-                        self.order_states.entry(pid).or_insert_with(|| compiled.initial_states());
-                    if compiled.advance_states(states, event.proc_name).is_err() {
+                    let state = self.order_states.entry(pid).or_insert(compiled.start());
+                    if let Some(next) = compiled.step(*state, event.proc_name) {
+                        *state = next;
+                    } else {
                         let fault = match role {
                             ProcRole::Request => Some(FaultKind::DoubleAcquire),
                             ProcRole::Release => Some(FaultKind::ReleaseWithoutAcquire),
@@ -779,8 +793,8 @@ impl OrderState {
         }
     }
 
-    /// Frees a terminated caller's declared-call-order state (its NFA
-    /// state set) so long-running detectors don't accumulate state for
+    /// Frees a terminated caller's declared-call-order state so
+    /// long-running detectors don't accumulate state for
     /// every process that ever called. The Request-List entry, if any,
     /// is deliberately **kept**: a process that died holding an access
     /// right must keep tripping the ST-8c hold timer until recovery
@@ -804,9 +818,8 @@ impl OrderState {
             _ => {}
         }
         if let Some(compiled) = &self.compiled {
-            let mut states =
-                self.order_states.get(&pid).cloned().unwrap_or_else(|| compiled.initial_states());
-            if compiled.advance_states(&mut states, proc_name).is_err() {
+            let state = self.order_states.get(&pid).copied().unwrap_or(compiled.start());
+            if compiled.step(state, proc_name).is_none() {
                 return Some(RuleId::St8CallOrder);
             }
         }
@@ -1339,6 +1352,27 @@ mod tests {
         assert!(out
             .iter()
             .any(|v| v.rule == RuleId::St8CallOrder && v.fault == Some(FaultKind::DoubleAcquire)));
+    }
+
+    #[test]
+    fn enter_past_the_declared_procedures_is_a_call_order_violation() {
+        // Wire and oplog events carry arbitrary procedure ids.
+        let spec = alloc_spec();
+        let mut s = Seq::new();
+        let mut os = OrderState::new(M, &spec);
+        let mut out = Vec::new();
+        for bogus in [7, u16::MAX] {
+            assert_eq!(
+                os.would_violate(&spec, Pid::new(1), ProcName::new(bogus)),
+                Some(RuleId::St8CallOrder)
+            );
+            os.apply(&spec, &s.enter(1, bogus, true), &mut out);
+        }
+        assert_eq!(out.iter().map(|v| v.rule).collect::<Vec<_>>(), [RuleId::St8CallOrder; 2]);
+        // The caller's state is unchanged: its request is still in order.
+        out.clear();
+        os.apply(&spec, &s.enter(1, 0, true), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -21,16 +21,18 @@
 //! "partial ordering declared in the monitor specification explicitly",
 //! e.g. `path (request ; release)* end` for a resource allocator.
 //!
-//! An expression is compiled against a [`crate::spec::MonitorSpec`] into
-//! a Thompson NFA ([`CompiledPath`]); a [`PathTracker`] then follows one
-//! process's calls through the automaton. A call that leaves the
-//! automaton without successor states is an ordering violation
-//! (user-process-level fault, ST-8 / FD-Rule 7).
+//! An expression is compiled against a [`crate::spec::MonitorSpec`]: a
+//! Thompson NFA is built and determinised into one transition table
+//! ([`CompiledPath`]), which Algorithm 3, the runtime lookahead, the
+//! predictor and the spec analyzer all read. A [`PathTracker`] follows
+//! one process's calls through the table. A call without a transition
+//! is an ordering violation (user-process-level fault, ST-8 /
+//! FD-Rule 7).
 
 use crate::ids::ProcName;
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Errors raised while parsing or compiling a path expression.
@@ -54,6 +56,9 @@ pub enum PathError {
         /// The undeclared name.
         name: String,
     },
+    /// The determinised automaton would exceed
+    /// [`CompiledPath::MAX_STATES`] states.
+    TooManyStates,
 }
 
 impl fmt::Display for PathError {
@@ -66,6 +71,11 @@ impl fmt::Display for PathError {
             PathError::UnknownProcedure { name } => {
                 write!(f, "path expression names undeclared procedure {name:?}")
             }
+            PathError::TooManyStates => write!(
+                f,
+                "path expression needs more than {} automaton states",
+                CompiledPath::MAX_STATES
+            ),
         }
     }
 }
@@ -154,26 +164,27 @@ impl PathExpr {
         out
     }
 
-    /// Compiles the expression to an NFA, resolving procedure names
-    /// through `resolve` (typically
+    /// Compiles the expression to its transition table, resolving
+    /// procedure names through `resolve` (typically
     /// [`crate::spec::MonitorSpec::proc_by_name`]).
     ///
     /// # Errors
     ///
     /// Returns [`PathError::UnknownProcedure`] if a name does not
-    /// resolve.
+    /// resolve, and [`PathError::TooManyStates`] if the table would
+    /// exceed [`CompiledPath::MAX_STATES`] states.
     pub fn compile(
         &self,
         mut resolve: impl FnMut(&str) -> Option<ProcName>,
     ) -> Result<CompiledPath, PathError> {
         let mut nfa = NfaBuilder::default();
         let frag = nfa.build(&self.ast, &mut resolve)?;
-        Ok(CompiledPath { eps: nfa.eps, steps: nfa.steps, start: frag.start, accept: frag.accept })
+        nfa.determinise(&frag)
     }
 
     /// Full-match check against a sequence of names, using a naive
-    /// backtracking matcher that is *independent of the NFA* — used in
-    /// differential tests of the compiled automaton.
+    /// backtracking matcher that is *independent of the automaton* —
+    /// used in differential tests of the compiled table.
     pub fn accepts_names(&self, names: &[&str]) -> bool {
         // Returns the set of suffix positions reachable after matching a
         // prefix of `names[from..]` against `node`.
@@ -423,7 +434,7 @@ impl Parser {
 }
 
 // ---------------------------------------------------------------------
-// NFA
+// Thompson NFA and its subset construction
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -512,116 +523,140 @@ impl NfaBuilder {
             }
         }
     }
-}
 
-/// A path expression compiled against a monitor specification.
-#[derive(Debug, Clone)]
-pub struct CompiledPath {
-    eps: Vec<Vec<usize>>,
-    steps: Vec<Vec<(ProcName, usize)>>,
-    start: usize,
-    accept: usize,
-}
-
-impl CompiledPath {
-    /// Number of NFA states.
-    pub fn state_count(&self) -> usize {
-        self.eps.len()
-    }
-
-    /// Epsilon successors of one state, for the static spec analyzer.
-    pub(crate) fn eps_edges(&self, state: usize) -> &[usize] {
-        &self.eps[state]
-    }
-
-    /// Symbol transitions of one state, for the static spec analyzer.
-    pub(crate) fn step_edges(&self, state: usize) -> &[(ProcName, usize)] {
-        &self.steps[state]
-    }
-
-    /// The NFA start state.
-    pub(crate) fn start_state(&self) -> usize {
-        self.start
-    }
-
-    /// The NFA accept state.
-    pub(crate) fn accept_state(&self) -> usize {
-        self.accept
-    }
-
-    /// Assembles an automaton directly from its transition tables —
-    /// only for analyzer unit tests that need shapes the Thompson
-    /// construction cannot produce (e.g. trap states).
-    #[cfg(test)]
-    pub(crate) fn from_parts(
-        eps: Vec<Vec<usize>>,
-        steps: Vec<Vec<(ProcName, usize)>>,
-        start: usize,
-        accept: usize,
-    ) -> CompiledPath {
-        CompiledPath { eps, steps, start, accept }
-    }
-
-    /// Starts tracking one process's calls through the automaton.
-    pub fn tracker(&self) -> PathTracker<'_> {
-        PathTracker { path: self, states: self.initial_states() }
-    }
-
-    /// The initial (epsilon-closed) NFA state set. Use together with
-    /// [`CompiledPath::advance_states`] when the state set must be
-    /// stored independently of the automaton (e.g. one set per process
-    /// inside a detector).
-    pub fn initial_states(&self) -> Vec<bool> {
-        let mut states = vec![false; self.eps.len()];
-        states[self.start] = true;
-        self.close(&mut states);
-        states
-    }
-
-    /// Advances an externally stored state set by one call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrderViolation`] — and leaves the set unchanged — if no
-    /// automaton path allows the call.
-    pub fn advance_states(
-        &self,
-        states: &mut Vec<bool>,
-        proc_name: ProcName,
-    ) -> Result<(), OrderViolation> {
-        let mut next = vec![false; states.len()];
-        let mut any = false;
-        for (s, &active) in states.iter().enumerate() {
-            if !active {
-                continue;
-            }
-            for &(sym, t) in &self.steps[s] {
-                if sym == proc_name {
-                    next[t] = true;
-                    any = true;
-                }
-            }
-        }
-        if !any {
-            return Err(OrderViolation { proc_name });
-        }
-        self.close(&mut next);
-        *states = next;
-        Ok(())
-    }
-
-    /// Epsilon-closure of a state set, in place.
-    fn close(&self, states: &mut [bool]) {
-        let mut stack: Vec<usize> =
-            states.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
+    /// The ε-closure of `from`, reduced to the states that matter
+    /// after it: those with a symbol edge, and the accept state. Two
+    /// closures that agree on these behave alike, so they are one
+    /// table state.
+    fn closure(&self, mut stack: Vec<usize>, accept: usize) -> Vec<usize> {
+        let mut seen: BTreeSet<usize> = stack.iter().copied().collect();
         while let Some(s) = stack.pop() {
             for &t in &self.eps[s] {
-                if !states[t] {
-                    states[t] = true;
+                if seen.insert(t) {
                     stack.push(t);
                 }
             }
         }
+        seen.into_iter().filter(|&s| s == accept || !self.steps[s].is_empty()).collect()
+    }
+
+    /// The subset construction: one table state per reachable closure.
+    /// Closures are never empty and every Thompson state lies on a
+    /// start→accept path, so every table state can still complete.
+    fn determinise(&self, frag: &Frag) -> Result<CompiledPath, PathError> {
+        let mut column: Vec<u32> = Vec::new();
+        let mut width = 0;
+        for &(sym, _) in self.steps.iter().flatten() {
+            if column.len() <= sym.as_usize() {
+                column.resize(sym.as_usize() + 1, NONE);
+            }
+            if column[sym.as_usize()] == NONE {
+                column[sym.as_usize()] = width as u32;
+                width += 1;
+            }
+        }
+        let mut sets = vec![self.closure(vec![frag.start], frag.accept)];
+        let mut ids: HashMap<Vec<usize>, u32> = HashMap::from([(sets[0].clone(), 0)]);
+        let mut next = Vec::new();
+        let mut accepting = Vec::new();
+        let mut moved: Vec<Vec<usize>> = vec![Vec::new(); width];
+        while let Some(set) = sets.get(accepting.len()) {
+            accepting.push(set.contains(&frag.accept));
+            for &(sym, t) in set.iter().flat_map(|&s| &self.steps[s]) {
+                moved[column[sym.as_usize()] as usize].push(t);
+            }
+            for targets in &mut moved {
+                if targets.is_empty() {
+                    next.push(NONE);
+                    continue;
+                }
+                let target = self.closure(std::mem::take(targets), frag.accept);
+                let id = match ids.get(&target) {
+                    Some(&id) => id,
+                    None if sets.len() == CompiledPath::MAX_STATES => {
+                        return Err(PathError::TooManyStates)
+                    }
+                    None => {
+                        let id = sets.len() as u32;
+                        ids.insert(target.clone(), id);
+                        sets.push(target);
+                        id
+                    }
+                };
+                next.push(id);
+            }
+        }
+        Ok(CompiledPath { column, width, next, accepting })
+    }
+}
+
+/// A path expression compiled against a monitor specification: the
+/// determinised, trim automaton of the expression as one flat
+/// `(state, procedure) → state` table.
+///
+/// States are `u32`s; [`CompiledPath::start`] is the initial one and
+/// [`CompiledPath::step`] follows one call. Every state the table
+/// holds lies on a path to an accepting state, so a call without a
+/// transition is exactly a call no completion of the declared order
+/// allows.
+#[derive(Debug, Clone)]
+pub struct CompiledPath {
+    /// Column of each procedure in `next`, indexed by [`ProcName`];
+    /// `NONE` for a procedure the expression does not name.
+    column: Vec<u32>,
+    /// Columns per state: the number of procedures the expression
+    /// names.
+    width: usize,
+    /// `next[state * width + column]`: the successor state, or `NONE`.
+    next: Vec<u32>,
+    /// Whether each state completes the declared order.
+    accepting: Vec<bool>,
+}
+
+/// "No transition" / "not named" in a [`CompiledPath`] table.
+const NONE: u32 = u32::MAX;
+
+impl CompiledPath {
+    /// The most states a compiled call order may have. Determinising
+    /// is exponential in the worst case — `(a | b)* ; a ; (a | b) ; …`
+    /// doubles its states with every trailing `(a | b)` — and
+    /// expressions arrive from `.mspec` files, so
+    /// [`PathExpr::compile`] stops here with
+    /// [`PathError::TooManyStates`].
+    pub const MAX_STATES: usize = 1024;
+
+    /// Number of automaton states.
+    pub fn state_count(&self) -> usize {
+        self.accepting.len()
+    }
+
+    /// The initial state: no call made yet.
+    pub fn start(&self) -> u32 {
+        0
+    }
+
+    /// The state after `proc_name` is called in `state`, or `None` if
+    /// the declared order does not allow that call there. A procedure
+    /// the expression does not name — including any `ProcName` past
+    /// the monitor's declared procedures — has no transition.
+    pub fn step(&self, state: u32, proc_name: ProcName) -> Option<u32> {
+        let column = *self.column.get(proc_name.as_usize())?;
+        if column == NONE {
+            return None;
+        }
+        let next = self.next[state as usize * self.width + column as usize];
+        (next != NONE).then_some(next)
+    }
+
+    /// Whether `state` completes the declared order — e.g. every
+    /// `request` has had its `release`.
+    pub fn is_accepting(&self, state: u32) -> bool {
+        self.accepting[state as usize]
+    }
+
+    /// Starts tracking one process's calls through the automaton.
+    pub fn tracker(&self) -> PathTracker<'_> {
+        PathTracker { path: self, state: self.start() }
     }
 
     /// Runs a whole call sequence; `true` iff it is accepted in full.
@@ -656,7 +691,7 @@ impl std::error::Error for OrderViolation {}
 #[derive(Debug, Clone)]
 pub struct PathTracker<'a> {
     path: &'a CompiledPath,
-    states: Vec<bool>,
+    state: u32,
 }
 
 impl<'a> PathTracker<'a> {
@@ -665,23 +700,23 @@ impl<'a> PathTracker<'a> {
     /// # Errors
     ///
     /// Returns [`OrderViolation`] — and leaves the tracker unchanged, so
-    /// detection can continue — if no automaton path allows the call.
+    /// detection can continue — if the declared order does not allow
+    /// the call.
     pub fn advance(&mut self, proc_name: ProcName) -> Result<(), OrderViolation> {
-        self.path.advance_states(&mut self.states, proc_name)
+        self.state = self.path.step(self.state, proc_name).ok_or(OrderViolation { proc_name })?;
+        Ok(())
     }
 
     /// Whether the call allowed next includes `proc_name` (lookahead
     /// without advancing).
     pub fn allows(&self, proc_name: ProcName) -> bool {
-        self.states.iter().enumerate().any(|(s, &active)| {
-            active && self.path.steps[s].iter().any(|&(sym, _)| sym == proc_name)
-        })
+        self.path.step(self.state, proc_name).is_some()
     }
 
-    /// Whether the calls so far form a *complete* path (the accept state
-    /// is reachable) — e.g. every `request` has its `release`.
+    /// Whether the calls so far form a *complete* path — e.g. every
+    /// `request` has its `release`.
     pub fn is_complete(&self) -> bool {
-        self.states[self.path.accept]
+        self.path.is_accepting(self.state)
     }
 }
 
@@ -816,8 +851,66 @@ mod tests {
 
     #[test]
     fn state_count_is_reasonable() {
+        // Waiting for `request`, waiting for `release`.
+        assert_eq!(compile("(request ; release)*", RR).state_count(), 2);
+        // Waiting for `a`, for `b`, for `a` or `c`.
+        assert_eq!(compile("((a ; b)+ ; c)*", &["a", "b", "c"]).state_count(), 3);
+    }
+
+    /// Every state reachable from `from`, `from` first.
+    fn reach(p: &CompiledPath, from: u32, symbols: u16) -> Vec<u32> {
+        let mut seen = vec![from];
+        let mut i = 0;
+        while let Some(&s) = seen.get(i) {
+            for t in (0..symbols).filter_map(|sym| p.step(s, ProcName::new(sym))) {
+                if !seen.contains(&t) {
+                    seen.push(t);
+                }
+            }
+            i += 1;
+        }
+        seen
+    }
+
+    #[test]
+    fn every_reachable_state_reaches_acceptance() {
+        let abcd = &["a", "b", "c", "d"];
+        for src in ["a", "(a;b)*", "a+ ; (b | c)?", "((a;b)+ ; c)* | d", "(a | b)* ; a ; b"] {
+            let p = compile(src, abcd);
+            let reachable = reach(&p, p.start(), 4);
+            assert_eq!(reachable.len(), p.state_count(), "{src}: unreachable states");
+            for s in reachable {
+                let completes = reach(&p, s, 4).into_iter().any(|t| p.is_accepting(t));
+                assert!(completes, "{src}: state {s} cannot complete");
+            }
+        }
+    }
+
+    #[test]
+    fn blow_up_expression_hits_the_state_cap() {
+        // The k-th symbol from the end is an `a`: 2^k states.
+        let src = format!("(a | b)* ; a{}", " ; (a | b)".repeat(12));
+        let p = PathExpr::parse(&src).unwrap();
+        let started = std::time::Instant::now();
+        assert_eq!(p.compile(resolver(&["a", "b"])).unwrap_err(), PathError::TooManyStates);
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
+        // One fewer doubling stays under the cap and compiles.
+        let src = format!("(a | b)* ; a{}", " ; (a | b)".repeat(8));
+        let p = PathExpr::parse(&src).unwrap().compile(resolver(&["a", "b"])).unwrap();
+        assert_eq!(p.state_count(), 512);
+    }
+
+    #[test]
+    fn procedures_past_the_table_have_no_transition() {
         let p = compile("(request ; release)*", RR);
-        assert!(p.state_count() >= 4);
-        assert!(p.state_count() <= 16);
+        let mut t = p.tracker();
+        for proc_name in [ProcName::new(2), ProcName::new(u16::MAX)] {
+            assert!(!t.allows(proc_name));
+            assert_eq!(t.advance(proc_name), Err(OrderViolation { proc_name }));
+        }
+        assert!(t.advance(ProcName::new(0)).is_ok());
+        // A declared procedure the expression never names: no column.
+        let p = compile("a", &["a", "b"]);
+        assert_eq!(p.step(p.start(), ProcName::new(1)), None);
     }
 }

@@ -29,7 +29,7 @@
 //! registration.
 
 use crate::assertion::StateAssertion;
-use crate::path::{CompiledPath, Node, PathExpr};
+use crate::path::{Node, PathExpr};
 use crate::spec::{CondRole, MonitorClass, MonitorSpec, ProcRole};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -98,13 +98,12 @@ diag_codes! {
     DuplicateCond = ("RML002", Error, "duplicate condition name"),
     PathUnknownProc = ("RML010", Error, "call order names an undeclared procedure"),
     PathUnreachableProc = ("RML011", Warn, "declared procedure is unreachable in the call order"),
-    PathTrapState = ("RML012", Error, "call order has trap states with no route to completion"),
     PathUnreleasedCompletion =
         ("RML013", Warn, "call order admits a completed sequence holding unreleased rights"),
     PathReleaseBeforeRequest =
         ("RML014", Warn, "call order admits a release before any matching request"),
     PathDuplicateAlt = ("RML015", Lint, "call order has redundant duplicate alternatives"),
-    PathSyntax = ("RML016", Error, "call order does not parse"),
+    PathSyntax = ("RML016", Error, "call order does not parse or compile"),
     CoordinatorRoles = ("RML020", Error, "communication coordinator lacks Send/Receive roles"),
     CoordinatorCapacity = ("RML021", Error, "communication coordinator has no usable capacity"),
     AllocatorRoles = ("RML022", Warn, "resource allocator has unbalanced Request/Release roles"),
@@ -487,7 +486,7 @@ fn no_counter(spec: &MonitorSpec, a: &StateAssertion) -> Diagnostic {
 }
 
 // ---------------------------------------------------------------------
-// Call-order / NFA analysis (RML01x)
+// Call-order analysis (RML01x)
 // ---------------------------------------------------------------------
 
 fn check_call_order(spec: &MonitorSpec, out: &mut Vec<Diagnostic>) {
@@ -540,11 +539,19 @@ fn check_call_order(spec: &MonitorSpec, out: &mut Vec<Diagnostic>) {
     // alternation choices are independent): RML013/RML014.
     check_balance(spec, order, out);
 
-    // NFA-level trap-state analysis (RML012). Skipped if the path does
-    // not compile — RML010 already covers that.
+    // RML016: the order parses but does not compile to a table —
+    // today only past the state cap; RML010 already covers unknown
+    // names.
     if !unknown {
-        if let Ok(compiled) = order.compile(|n| spec.proc_by_name(n)) {
-            check_trap_states(spec, &compiled, out);
+        if let Err(e) = order.compile(|n| spec.proc_by_name(n)) {
+            out.push(
+                Diagnostic::new(
+                    DiagCode::PathSyntax,
+                    &spec.name,
+                    format!("call order does not compile: {e}; the order can never be tracked"),
+                )
+                .with("source", order.source()),
+            );
         }
     }
 }
@@ -714,75 +721,6 @@ fn check_balance(spec: &MonitorSpec, order: &PathExpr, out: &mut Vec<Diagnostic>
     }
 }
 
-/// RML012: reachable NFA states from which the accept state is
-/// unreachable. A prefix that strands the whole active-state set in
-/// such states can never complete — an inevitable ST-8 violation
-/// baked into the spec. The Thompson construction used by
-/// [`PathExpr::compile`] is trim (every state lies on a start→accept
-/// path), so this is a defensive check for any future automaton source;
-/// it is exercised directly in unit tests.
-pub(crate) fn check_trap_states(
-    spec: &MonitorSpec,
-    compiled: &CompiledPath,
-    out: &mut Vec<Diagnostic>,
-) {
-    let n = compiled.state_count();
-    // Forward reachability from start over ε and symbol edges.
-    let mut reachable = vec![false; n];
-    let mut stack = vec![compiled.start_state()];
-    reachable[compiled.start_state()] = true;
-    while let Some(s) = stack.pop() {
-        let next = compiled
-            .eps_edges(s)
-            .iter()
-            .copied()
-            .chain(compiled.step_edges(s).iter().map(|&(_, t)| t));
-        for t in next {
-            if !reachable[t] {
-                reachable[t] = true;
-                stack.push(t);
-            }
-        }
-    }
-    // Backward reachability from accept.
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for s in 0..n {
-        for &t in compiled.eps_edges(s) {
-            rev[t].push(s);
-        }
-        for &(_, t) in compiled.step_edges(s) {
-            rev[t].push(s);
-        }
-    }
-    let mut completes = vec![false; n];
-    let mut stack = vec![compiled.accept_state()];
-    completes[compiled.accept_state()] = true;
-    while let Some(s) = stack.pop() {
-        for &p in &rev[s] {
-            if !completes[p] {
-                completes[p] = true;
-                stack.push(p);
-            }
-        }
-    }
-    let traps: Vec<usize> = (0..n).filter(|&s| reachable[s] && !completes[s]).collect();
-    if !traps.is_empty() {
-        out.push(
-            Diagnostic::new(
-                DiagCode::PathTrapState,
-                &spec.name,
-                format!(
-                    "{} reachable automaton state(s) have no route to completion: once a \
-                     process's calls strand it there, it can never satisfy the declared \
-                     order again",
-                    traps.len()
-                ),
-            )
-            .with("states", traps.iter().map(|s| s.to_string()).collect::<Vec<_>>().join("+")),
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fleet-level checks (RML04x)
 // ---------------------------------------------------------------------
@@ -929,7 +867,7 @@ where
 mod tests {
     use super::*;
     use crate::assertion::StateAssertion;
-    use crate::ids::{CondId, ProcName};
+    use crate::ids::CondId;
     use crate::spec::{CondSpec, ProcedureSpec};
 
     fn codes(report: &LintReport) -> Vec<DiagCode> {
@@ -1084,46 +1022,19 @@ mod tests {
     }
 
     #[test]
-    fn trap_states_detected_on_hand_built_automaton() {
-        // 0 --request--> 1 (accept), 0 --release--> 2 (trap: no way out).
-        let rq = ProcName::new(0);
-        let rl = ProcName::new(1);
-        let nfa = CompiledPath::from_parts(
-            vec![Vec::new(), Vec::new(), Vec::new()],
-            vec![vec![(rq, 1), (rl, 2)], Vec::new(), Vec::new()],
-            0,
-            1,
-        );
-        let spec = raw_allocator("(request ; release)*");
-        let mut out = Vec::new();
-        check_trap_states(&spec, &nfa, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].code, DiagCode::PathTrapState);
-        assert!(out[0].context.iter().any(|(k, v)| k == "states" && v == "2"));
-    }
-
-    #[test]
-    fn parsed_expressions_are_trim() {
-        // Thompson NFAs from the parser never have trap states; the
-        // analyzer must stay silent on arbitrary parsed shapes.
-        for src in ["a", "(a;b)*", "a+ ; (b | c)?", "((a;b)+ ; c)* | d"] {
-            let spec = MonitorSpec {
-                name: "t".into(),
-                class: MonitorClass::OperationManager,
-                procedures: ["a", "b", "c", "d"]
-                    .iter()
-                    .map(|n| ProcedureSpec { name: (*n).into(), role: ProcRole::Plain })
-                    .collect(),
-                conditions: Vec::new(),
-                capacity: None,
-                call_order: None,
-                assertions: Vec::new(),
-            };
-            let compiled = PathExpr::parse(src).unwrap().compile(|n| spec.proc_by_name(n)).unwrap();
-            let mut out = Vec::new();
-            check_trap_states(&spec, &compiled, &mut out);
-            assert!(out.is_empty(), "{src}: {out:?}");
-        }
+    fn order_past_the_state_cap_is_rml016() {
+        // The 13th call from the end is a request: 2^13 table states.
+        let blow_up =
+            format!("(request | release)* ; request{}", " ; (request | release)".repeat(12));
+        let report = analyze(&raw_allocator(&blow_up));
+        let found: Vec<_> =
+            report.diagnostics.iter().filter(|d| d.code == DiagCode::PathSyntax).collect();
+        assert_eq!(found.len(), 1, "{report}");
+        assert!(found[0].message.contains("1024 automaton states"), "{report}");
+        assert!(report.has_errors());
+        // The canonical order compiles, so the code stays silent.
+        let ok = analyze(&raw_allocator("(request ; release)*"));
+        assert!(!codes(&ok).contains(&DiagCode::PathSyntax), "{ok}");
     }
 
     #[test]

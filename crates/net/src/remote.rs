@@ -18,7 +18,7 @@
 //! * **Local**: event batching (the [`ProducerHandle`] shape and its
 //!   flush threshold), snapshot observation, the violation inbox
 //!   (verdicts the service pushes back via `Verdicts` frames).
-//! * **Remote**: all detection state — checking lists, order NFAs,
+//! * **Remote**: all detection state — checking lists, call-order states,
 //!   watermarks, timers. Consequently
 //!   [`DetectionBackend::call_would_violate`] answers `None` here: the
 //!   synchronous ST-8 lookahead would cost a network round-trip on the

@@ -12,13 +12,23 @@
 //! pops what `parse_frame` walks, and a decoded record or envelope
 //! re-encodes to canonical bytes that decode and encode to themselves.
 //!
+//! The `.mspec` front end gets the same treatment: random bytes and
+//! mutations of `examples/specs/*.mspec` go through
+//! `textfmt::parse_specs`, and every spec that parses through
+//! `analyze`. Neither may panic, a rejection is a `TextError` naming a
+//! line of the input or a coded diagnostic, and every call order the
+//! analyzer passes compiles to at most `CompiledPath::MAX_STATES`
+//! states.
+//!
 //! The seeds and iteration counts are fixed, so every run checks the
 //! same inputs and a failure reproduces exactly.
 
 use rmon_core::oplog::{crc32, decode_record, encode_record, Record};
+use rmon_core::spec::textfmt::parse_specs;
 use rmon_core::{
-    CondId, Event, FaultKind, FaultReport, HlcStamp, MonitorId, MonitorSpec, MonitorState, Nanos,
-    Pid, PidProc, PredictedViolation, ProcName, RuleId, VClock, Violation,
+    analyze, CompiledPath, CondId, DiagCode, Event, FaultKind, FaultReport, HlcStamp, MonitorId,
+    MonitorSpec, MonitorState, Nanos, OrderState, Pid, PidProc, PredictedViolation, ProcName,
+    RuleId, VClock, Violation,
 };
 use rmon_net::proto::{decode_envelope, encode_envelope, Envelope, Msg, PROTO_VERSION};
 use rmon_storage::frame::{frame_into, parse_frame, FrameBuf, FrameStep, FRAME_HEADER_BYTES};
@@ -373,5 +383,69 @@ fn random_bytes_never_panic_and_fail_typed() {
         // Behind a valid header the scanner reaches the frame parser.
         bytes.splice(0..0, SEGMENT_MAGIC);
         check_segment(&bytes);
+    }
+}
+
+/// The shipped `.mspec` files, in name order.
+fn mspec_corpus() -> Vec<Vec<u8>> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/specs")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mspec"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 2, "no .mspec files in {dir:?}");
+    paths.iter().map(|p| std::fs::read(p).expect("read .mspec")).collect()
+}
+
+fn check_mspec(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let file = match parse_specs(&text) {
+        Ok(file) => file,
+        Err(e) => {
+            let lines = text.lines().count();
+            assert!(e.line >= 1 && e.line <= lines.max(1), "{e} outside {lines} lines");
+            return;
+        }
+    };
+    for d in &file.diagnostics.diagnostics {
+        assert_eq!(d.code, DiagCode::PathSyntax, "front end raised {d}");
+    }
+    for spec in &file.specs {
+        let report = analyze(spec);
+        if spec.call_order.is_none() {
+            continue;
+        }
+        // Algorithm 3 tracks an order iff it compiles, within the cap;
+        // the analyzer reports every order it cannot track.
+        let order = OrderState::new(MonitorId::new(0), spec);
+        match order.call_order() {
+            Some(table) => assert!(table.state_count() <= CompiledPath::MAX_STATES),
+            None => assert!(
+                report.diagnostics.iter().any(|d| {
+                    d.code == DiagCode::PathUnknownProc || d.code == DiagCode::PathSyntax
+                }),
+                "an untracked order passed the analyzer: {report}"
+            ),
+        }
+    }
+}
+
+#[test]
+fn mspec_inputs_never_panic_and_fail_typed() {
+    let corpus = mspec_corpus();
+    for text in &corpus {
+        check_mspec(text);
+    }
+    let mut rng = Rng(0x5EED_0005);
+    for i in 0..600 {
+        let mut bytes = corpus[i % corpus.len()].clone();
+        for _ in 0..=rng.below(3) {
+            bytes = mutate(&mut rng, &bytes);
+        }
+        check_mspec(&bytes);
+        let len = rng.below(256);
+        check_mspec(&rng.bytes(len));
     }
 }

@@ -20,8 +20,7 @@
 //! * [`segment`] — one segment file: frames behind a magic header,
 //!   scan / recover / append.
 //! * [`oplog`] — the [`Oplog`] engine: a directory of segments named
-//!   by first LSN, rotation, retention, fsync policy, and the
-//!   [`Oplog::compact_sealed`] archive pass.
+//!   by first LSN, rotation, retention and fsync policy.
 //! * [`sink`] — [`DurableSink`]: the core journal sink over one
 //!   oplog; what a runtime plugs in.
 //! * [`replay`] — the differential replayer and its
@@ -49,14 +48,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod compact;
 pub mod frame;
 pub mod oplog;
 pub mod replay;
 pub mod segment;
 pub mod sink;
 
-pub use compact::CompactReport;
 pub use frame::{FrameBuf, FrameError};
 pub use oplog::{FsyncPolicy, Oplog, OplogConfig, ReadReport, RecoveryReport};
 pub use replay::{replay_dir, replay_records, verdict_keys, ReplayOutcome, SpecResolver};

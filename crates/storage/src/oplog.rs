@@ -257,16 +257,6 @@ impl Oplog {
         &self.dir
     }
 
-    /// Sealed segment paths in LSN order (for the compaction pass).
-    pub(crate) fn sealed_paths(&self) -> Vec<PathBuf> {
-        self.sealed.iter().map(|(_, p)| p.clone()).collect()
-    }
-
-    /// Path of the active (append) segment.
-    pub(crate) fn active_path(&self) -> &Path {
-        self.writer.path()
-    }
-
     /// The configuration this log was opened with.
     pub(crate) fn config(&self) -> &OplogConfig {
         &self.cfg

@@ -2,9 +2,10 @@
 //! docs/*.md must resolve to a file in the repository, every repository
 //! path those files quote in a code span must exist, and every
 //! `symbol` — `path.rs` pointer of docs/PAPER_MAP.md must name an item
-//! that file defines, and every `--bin NAME` / `--example NAME` those
+//! that file defines, every `--bin NAME` / `--example NAME` those
 //! files (and the verify skill's build notes) quote must name a target
-//! that exists. CI's docs job runs this alongside the rustdoc build, so
+//! that exists, and the `### RMLxxx — … (severity)` headings of
+//! docs/DIAGNOSTICS.md must match `DiagCode::all()` one to one. CI's docs job runs this alongside the rustdoc build, so
 //! a renamed doc, a moved item, a deleted binary or a stale path fails
 //! the push that broke it.
 
@@ -309,6 +310,31 @@ fn quoted_bin_and_example_targets_exist() {
         }
     }
     assert!(broken.is_empty(), "stale cargo targets:\n{}", broken.join("\n"));
+}
+
+/// The `(code, severity)` of every `### RMLxxx — title (severity)`
+/// heading, in document order.
+fn catalogue_headings(md: &str) -> Vec<(String, String)> {
+    md.lines()
+        .filter_map(|line| line.strip_prefix("### RML"))
+        .map(|rest| {
+            let code = rest.split_whitespace().next().unwrap_or("");
+            let severity = rest.rsplit_once('(').map_or("", |(_, s)| s.trim_end_matches(')'));
+            (format!("RML{code}"), severity.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn diagnostics_catalogue_matches_the_code_table() {
+    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let md = fs::read_to_string(repo.join("docs/DIAGNOSTICS.md")).expect("docs/DIAGNOSTICS.md");
+    let documented = catalogue_headings(&md);
+    let defined: Vec<(String, String)> = rmon::core::DiagCode::all()
+        .iter()
+        .map(|c| (c.as_str().to_string(), c.severity().to_string()))
+        .collect();
+    assert_eq!(documented, defined, "docs/DIAGNOSTICS.md headings vs DiagCode::all()");
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! * **No false positives** — randomly shaped, randomly scheduled
 //!   *correct* workloads never trigger a violation, on either
 //!   substrate.
-//! * **Path expressions** — the compiled NFA agrees with the
-//!   independent backtracking matcher on random expressions and
-//!   random call strings.
+//! * **Path expressions** — the compiled call-order table agrees with
+//!   the independent backtracking matcher on random expressions and
+//!   random call strings, at every prefix.
 //! * **Conservation** — replaying any recorded clean trace through the
 //!   checking lists preserves the process population (nobody is
 //!   created or lost by the bookkeeping itself).
@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use rmon::core::detect::predict::{is_legal_linearization, predict_window, Annotation};
-use rmon::core::{DetectorConfig, GeneralLists, Nanos, PathExpr, VClock};
+use rmon::core::{DetectorConfig, GeneralLists, Nanos, OrderState, PathExpr, VClock};
 use rmon::prelude::*;
 use rmon::workloads::sweep;
 
@@ -86,7 +86,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Path expressions: NFA vs. naive matcher
+// Path expressions: compiled table vs. naive matcher
 // ---------------------------------------------------------------------
 
 /// A tiny generator of random path expressions over a fixed alphabet.
@@ -103,11 +103,28 @@ fn arb_path_expr() -> impl Strategy<Value = String> {
     })
 }
 
+/// Whether the backtracking matcher accepts `prefix` followed by some
+/// completion of at most `max` calls from `{a, b, c}`.
+fn has_completion(expr: &PathExpr, prefix: &[&'static str], max: usize) -> bool {
+    let mut frontier = vec![prefix.to_vec()];
+    for _ in 0..=max {
+        if frontier.iter().any(|w| expr.accepts_names(w)) {
+            return true;
+        }
+        frontier = frontier
+            .iter()
+            .flat_map(|w| ["a", "b", "c"].map(|x| [w.as_slice(), &[x]].concat()))
+            .collect();
+    }
+    false
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The Thompson NFA and the independent backtracking matcher agree
-    /// on every (expression, input) pair.
+    /// The compiled table and the independent backtracking matcher
+    /// agree on every (expression, input) pair, and on every prefix of
+    /// the input.
     #[test]
     fn nfa_agrees_with_naive_matcher(
         src in arb_path_expr(),
@@ -133,6 +150,20 @@ proptest! {
             src,
             names
         );
+        // At every prefix the table has a transition exactly when the
+        // matcher accepts some completion. A trim table of n states
+        // reaches acceptance within n - 1 more calls, so completions
+        // of at most `state_count()` symbols decide it.
+        let mut state = compiled.start();
+        for (k, &p) in procs.iter().enumerate() {
+            let next = compiled.step(state, p);
+            let viable = has_completion(&expr, &names[..=k], compiled.state_count());
+            prop_assert_eq!(next.is_some(), viable, "expr {} on prefix {:?}", src, &names[..=k]);
+            match next {
+                Some(next) => state = next,
+                None => break,
+            }
+        }
     }
 
     /// A tracker never accepts a call its lookahead refused, and
@@ -275,7 +306,8 @@ proptest! {
             .build();
         let now = Nanos::new((w.len() as u64 + 1) * 10);
         let mut out = Vec::new();
-        predict_window(MonitorId::new(0), &al.spec, &cfg, &w, &ann, now, &mut out);
+        let order = OrderState::new(MonitorId::new(0), &al.spec);
+        predict_window(&order, &al.spec, &cfg, &w, &ann, now, &mut out);
         for p in &out {
             prop_assert!(
                 is_legal_linearization(&p.witness, &w, &ann),
@@ -310,7 +342,8 @@ proptest! {
             .build();
         let now = Nanos::new((w.len() as u64 + 1) * 10);
         let mut out = Vec::new();
-        predict_window(MonitorId::new(0), &al.spec, &cfg, &w, &ann, now, &mut out);
+        let order = OrderState::new(MonitorId::new(0), &al.spec);
+        predict_window(&order, &al.spec, &cfg, &w, &ann, now, &mut out);
         prop_assert!(out.is_empty(), "seed {}: {:?}", seed, out);
     }
 }

@@ -12,10 +12,9 @@
 //! * **Fleet laws** — distinct clean specs form a clean fleet; shared
 //!   registrations dedup to at most a lint; colliding names are errors.
 //!
-//! `RML012` (trap states) is absent from the table by design: the
-//! Thompson construction behind `PathExpr::compile` is trim, so no
-//! parsable spec can trigger it — it is exercised against a hand-built
-//! automaton in the core unit tests.
+//! `RML012` (trap states) is retired: `PathExpr::compile` builds a
+//! trim table, so no spec could trigger it, and the code is gone from
+//! `DiagCode::all()`.
 
 use proptest::prelude::*;
 use rmon::core::spec::textfmt;
@@ -334,8 +333,9 @@ fn every_near_miss_stays_silent_on_its_code() {
 fn catalogue_covers_every_single_spec_code() {
     let covered: std::collections::BTreeSet<&str> =
         catalogue().iter().map(|(c, _, _)| c.as_str()).collect();
-    // RML012: unreachable from parsable input (trim construction) —
-    // unit-tested in core. RML016: a front-end code, tested below.
+    // RML012: retired (the compiled table is trim). RML016: a
+    // front-end code, tested below; its state-cap case is unit-tested
+    // in core.
     // RML04x: fleet-level, tested below.
     let excluded = ["RML012", "RML016", "RML040", "RML041", "RML042", "RML043"];
     for code in DiagCode::all() {
