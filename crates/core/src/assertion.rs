@@ -164,7 +164,7 @@ mod tests {
         a.check_into(MonitorId::new(3), &state_with(1, None), Nanos::new(9), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, RuleId::UserAssertion);
-        assert!(out[0].message.contains("|EQ| ≤ 0"), "{}", out[0].message);
+        assert!(out[0].message.to_string().contains("|EQ| ≤ 0"), "{}", out[0].message);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::lists::OrderState;
 use crate::spec::MonitorSpec;
 use crate::time::Nanos;
 use crate::violation::Violation;
+use std::sync::Arc;
 
 /// Runs Algorithm-3 as a batch over one checking window.
 ///
@@ -46,8 +47,9 @@ pub fn run(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut os = OrderState::new(monitor, spec);
+    let spec = Arc::new(spec.clone());
     for event in events {
-        os.apply(spec, event, &mut out);
+        os.apply(&spec, event, &mut out);
     }
     os.check_hold_timeout(cfg, now, &mut out);
     out

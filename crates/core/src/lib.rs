@@ -101,7 +101,7 @@ pub use spec::{
 pub use state::MonitorState;
 pub use time::Nanos;
 pub use vclock::VClock;
-pub use violation::{FaultReport, PredictedViolation, Violation};
+pub use violation::{Detail, FaultReport, PredictedViolation, Violation};
 
 #[cfg(test)]
 mod crate_tests {

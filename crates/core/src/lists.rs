@@ -26,8 +26,9 @@ use crate::rule::RuleId;
 use crate::spec::{CondRole, MonitorClass, MonitorSpec, ProcRole};
 use crate::state::MonitorState;
 use crate::time::Nanos;
-use crate::violation::Violation;
+use crate::violation::{Detail, Violation};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Enter-Q-List, Wait-Cond-Lists and Running-List, plus per-process
 /// situation timers (reset whenever a process moves between lists).
@@ -130,7 +131,7 @@ impl GeneralLists {
                     self.monitor,
                     RuleId::St4NoGhostEvents,
                     now,
-                    format!("{pid} issued {} while parked on the entry queue", event.kind.tag()),
+                    Detail::ParkedOnEntryQueue { pid, kind: event.kind },
                 )
                 .with_pid(pid)
                 .with_event(event.seq)
@@ -142,7 +143,7 @@ impl GeneralLists {
                     self.monitor,
                     RuleId::St4NoGhostEvents,
                     now,
-                    format!("{pid} issued {} while parked on a condition queue", event.kind.tag()),
+                    Detail::ParkedOnCondQueue { pid, kind: event.kind },
                 )
                 .with_pid(pid)
                 .with_event(event.seq)
@@ -160,10 +161,7 @@ impl GeneralLists {
                             self.monitor,
                             RuleId::St3BlockedWhileFree,
                             now,
-                            format!(
-                                "{pid} blocked on entry while {} process(es) were inside",
-                                self.running.len()
-                            ),
+                            Detail::BlockedWhileFree { pid, inside: self.running.len() },
                         )
                         .with_pid(pid)
                         .with_event(event.seq)
@@ -184,10 +182,7 @@ impl GeneralLists {
                             self.monitor,
                             RuleId::St3RunningUnique,
                             now,
-                            format!(
-                                "after Enter by {pid} the monitor holds {} processes",
-                                self.running.len()
-                            ),
+                            Detail::EnterNotUnique { pid, inside: self.running.len() },
                         )
                         .with_pid(pid)
                         .with_event(event.seq)
@@ -226,10 +221,7 @@ impl GeneralLists {
                                 self.monitor,
                                 RuleId::St2CondSnapshot,
                                 now,
-                                format!(
-                                    "Signal-Exit by {pid} claims a resumed waiter but the \
-                                     replayed condition queue is empty"
-                                ),
+                                Detail::PhantomWaiter { pid },
                             )
                             .with_pid(pid)
                             .with_event(event.seq),
@@ -245,7 +237,7 @@ impl GeneralLists {
                         self.monitor,
                         RuleId::St5InsideTimeout,
                         now,
-                        format!("{pid} terminated inside the monitor without exiting"),
+                        Detail::TerminatedInside { pid },
                     )
                     .with_pid(pid)
                     .with_event(event.seq)
@@ -272,7 +264,7 @@ impl GeneralLists {
                     self.monitor,
                     RuleId::St3RunningAtMostOne,
                     now,
-                    format!("Running-List holds {} processes", self.running.len()),
+                    Detail::RunningCrowded { inside: self.running.len() },
                 )
                 .with_event(event.seq)
                 .with_fault(fault),
@@ -299,11 +291,11 @@ impl GeneralLists {
                 self.monitor,
                 RuleId::St3RunningIsCaller,
                 event.time,
-                format!(
-                    "{pid} performed {} but Running-List was {:?}",
-                    event.kind.tag(),
-                    self.running
-                ),
+                Detail::CallerNotRunning {
+                    pid,
+                    kind: event.kind,
+                    running: self.running.as_slice().into(),
+                },
             )
             .with_pid(pid)
             .with_event(event.seq)
@@ -538,10 +530,7 @@ impl ResourceState {
                             self.monitor,
                             RuleId::St7WaitSendBufferFull,
                             event.time,
-                            format!(
-                                "{} delayed on Send while Resource-No = {} (buffer not full)",
-                                event.pid, self.resource_no
-                            ),
+                            Detail::SendDelayed { pid: event.pid, resource_no: self.resource_no },
                         )
                         .with_pid(event.pid)
                         .with_event(event.seq)
@@ -559,11 +548,11 @@ impl ResourceState {
                             self.monitor,
                             RuleId::St7WaitReceiveBufferEmpty,
                             event.time,
-                            format!(
-                                "{} delayed on Receive while Resource-No = {} of {} \
-                                 (buffer not empty)",
-                                event.pid, self.resource_no, self.rmax
-                            ),
+                            Detail::ReceiveDelayed {
+                                pid: event.pid,
+                                resource_no: self.resource_no,
+                                rmax: self.rmax,
+                            },
                         )
                         .with_pid(event.pid)
                         .with_event(event.seq)
@@ -600,10 +589,7 @@ impl ResourceState {
                 self.monitor,
                 RuleId::St7CountInvariant,
                 now,
-                format!(
-                    "successful receives r = {} exceed successful sends s = {}",
-                    self.r_total, self.s_total
-                ),
+                Detail::ReceivesExceedSends { r: self.r_total, s: self.s_total },
             )
             .with_fault(FaultKind::ReceiveExceedsSend);
             if let Some(s) = seq {
@@ -616,10 +602,7 @@ impl ResourceState {
                 self.monitor,
                 RuleId::St7CountInvariant,
                 now,
-                format!(
-                    "successful sends s = {} exceed r + Rmax = {} + {}",
-                    self.s_total, self.r_total, self.rmax
-                ),
+                Detail::SendsExceedCapacity { s: self.s_total, r: self.r_total, rmax: self.rmax },
             )
             .with_fault(FaultKind::SendExceedsCapacity);
             if let Some(s) = seq {
@@ -708,8 +691,9 @@ impl OrderState {
     }
 
     /// Applies one event (real-time checks ST-8a/b and the generalized
-    /// path-expression order ST-8*).
-    pub fn apply(&mut self, spec: &MonitorSpec, event: &Event, out: &mut Vec<Violation>) {
+    /// path-expression order ST-8*). An ST-8* verdict keeps a handle on
+    /// `spec` to name the procedure and the call order when rendered.
+    pub fn apply(&mut self, spec: &Arc<MonitorSpec>, event: &Event, out: &mut Vec<Violation>) {
         let pid = event.pid;
         let role = spec.proc_role(event.proc_name);
         match event.kind {
@@ -729,14 +713,11 @@ impl OrderState {
                             self.monitor,
                             RuleId::St8CallOrder,
                             event.time,
-                            format!(
-                                "call to {} by {pid} violates the declared call order {}",
-                                spec.proc_display(event.proc_name),
-                                spec.call_order
-                                    .as_ref()
-                                    .map(|p| p.source().to_string())
-                                    .unwrap_or_default()
-                            ),
+                            Detail::CallOrder {
+                                pid,
+                                proc_name: event.proc_name,
+                                spec: Arc::clone(spec),
+                            },
                         )
                         .with_pid(pid)
                         .with_event(event.seq);
@@ -755,7 +736,7 @@ impl OrderState {
                                     self.monitor,
                                     RuleId::St8DuplicateRequest,
                                     event.time,
-                                    format!("{pid} requested an access right it already holds"),
+                                    Detail::DuplicateRequest { pid },
                                 )
                                 .with_pid(pid)
                                 .with_event(event.seq)
@@ -772,7 +753,7 @@ impl OrderState {
                                 self.monitor,
                                 RuleId::St8ReleaseWithoutRequest,
                                 event.time,
-                                format!("{pid} called Release without a preceding Request"),
+                                Detail::ReleaseWithoutRequest { pid },
                             )
                             .with_pid(pid)
                             .with_event(event.seq)
@@ -898,8 +879,8 @@ mod tests {
         MonitorSpec::bounded_buffer("buf", 2).spec
     }
 
-    fn alloc_spec() -> MonitorSpec {
-        MonitorSpec::allocator("res", 1).spec
+    fn alloc_spec() -> Arc<MonitorSpec> {
+        Arc::new(MonitorSpec::allocator("res", 1).spec)
     }
 
     fn apply_all(lists: &mut GeneralLists, spec: &MonitorSpec, events: &[Event]) -> Vec<Violation> {

@@ -42,7 +42,7 @@ use crate::rule::RuleId;
 use crate::state::MonitorState;
 use crate::time::Nanos;
 use crate::vclock::VClock;
-use crate::violation::{FaultReport, PredictedViolation, Violation};
+use crate::violation::{Detail, FaultReport, PredictedViolation, Violation};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -611,7 +611,17 @@ fn put_violation(out: &mut Vec<u8>, v: &Violation) {
     }
     put_opt_u64(out, v.event_seq);
     put_u64(out, v.detected_at.as_nanos());
-    put_str(out, &v.message);
+    put_detail(out, &v.message);
+}
+
+/// Writes a detail as a length-prefixed string, rendered straight into
+/// the frame: the bytes of [`put_str`] over its text.
+fn put_detail(out: &mut Vec<u8>, detail: &Detail) {
+    let at = out.len();
+    put_u32(out, 0);
+    io::Write::write_fmt(out, format_args!("{detail}")).expect("writing to a Vec cannot fail");
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Minimum encoded size of one violation (all options absent, empty
@@ -633,7 +643,7 @@ fn read_violation(r: &mut Reader<'_>) -> Result<Violation, DecodeError> {
     };
     let event_seq = r.opt_u64()?;
     let detected_at = Nanos::new(r.u64()?);
-    let message = r.string()?;
+    let message = Detail::Text(r.string()?);
     Ok(Violation { monitor, rule, fault, pid, event_seq, detected_at, message })
 }
 
@@ -984,7 +994,7 @@ mod tests {
             pid: Some(Pid::new(7)),
             event_seq: Some(seed),
             detected_at: Nanos::new(seed * 3),
-            message: format!("violation {seed}"),
+            message: format!("violation {seed}").into(),
         }
     }
 

@@ -1,11 +1,14 @@
 //! Violations and fault reports — what the detection routines emit.
 
+use crate::event::EventKind;
 use crate::fault::FaultKind;
-use crate::ids::{MonitorId, Pid};
+use crate::ids::{MonitorId, Pid, PidProc, ProcName};
 use crate::rule::RuleId;
+use crate::spec::MonitorSpec;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
+use std::sync::Arc;
 
 /// A single detected rule violation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -25,8 +28,9 @@ pub struct Violation {
     pub event_seq: Option<u64>,
     /// Logical time of detection.
     pub detected_at: Nanos,
-    /// Human-readable detail.
-    pub message: String,
+    /// Human-readable detail, held as data and rendered only when the
+    /// violation is displayed or written (see [`Detail`]).
+    pub message: Detail,
 }
 
 impl Violation {
@@ -36,7 +40,7 @@ impl Violation {
         monitor: MonitorId,
         rule: RuleId,
         detected_at: Nanos,
-        message: impl Into<String>,
+        message: impl Into<Detail>,
     ) -> Self {
         Violation {
             monitor,
@@ -65,6 +69,233 @@ impl Violation {
     pub fn with_fault(mut self, fault: FaultKind) -> Self {
         self.fault = Some(fault);
         self
+    }
+}
+
+/// A violation's human-readable detail.
+///
+/// The rules checked on every replayed or observed event keep the ids,
+/// counts and event kind their text names, one variant per site, so a
+/// verdict costs no formatting (and, but for ST-3b's copy of the
+/// Running-List, no allocation) until it is shown or written.
+/// [`fmt::Display`] renders the text; the journal and the wire store
+/// that text, so a decoded violation holds it as [`Detail::Text`].
+///
+/// Two details are equal if and only if they render the same text, so
+/// a violation read back from a journal or the wire equals the one
+/// written. Serde sees a detail as its text.
+#[derive(Clone)]
+pub enum Detail {
+    /// Free text: decoded violations, timers, snapshot comparisons,
+    /// assertions, predictions and other once-per-checkpoint checks.
+    Text(String),
+    /// ST-4: a process issued an event while parked on the entry queue.
+    ParkedOnEntryQueue {
+        /// The issuing process.
+        pid: Pid,
+        /// What it issued.
+        kind: EventKind,
+    },
+    /// ST-4: a process issued an event while parked on a condition
+    /// queue.
+    ParkedOnCondQueue {
+        /// The issuing process.
+        pid: Pid,
+        /// What it issued.
+        kind: EventKind,
+    },
+    /// ST-3d: a process blocked on entry while the monitor was not held
+    /// by exactly one process.
+    BlockedWhileFree {
+        /// The blocked process.
+        pid: Pid,
+        /// Processes inside at the time.
+        inside: usize,
+    },
+    /// ST-3c: a granted `Enter` left more than one process inside.
+    EnterNotUnique {
+        /// The entering process.
+        pid: Pid,
+        /// Processes inside after the `Enter`.
+        inside: usize,
+    },
+    /// ST-2: a `Signal-Exit` claimed a resumed waiter but the replayed
+    /// condition queue was empty.
+    PhantomWaiter {
+        /// The signalling process.
+        pid: Pid,
+    },
+    /// ST-5: a process terminated inside the monitor.
+    TerminatedInside {
+        /// The terminated process.
+        pid: Pid,
+    },
+    /// ST-3a: the Running-List holds more than one process.
+    RunningCrowded {
+        /// Processes on the Running-List.
+        inside: usize,
+    },
+    /// ST-3b: `Wait`/`Signal-Exit` by a process that is not the unique
+    /// running one.
+    CallerNotRunning {
+        /// The calling process.
+        pid: Pid,
+        /// What it performed.
+        kind: EventKind,
+        /// The Running-List at the time.
+        running: Box<[PidProc]>,
+    },
+    /// ST-7c: a sender delayed while the buffer was not full.
+    SendDelayed {
+        /// The delayed sender.
+        pid: Pid,
+        /// Free capacity at the time.
+        resource_no: i64,
+    },
+    /// ST-7d: a receiver delayed while the buffer was not empty.
+    ReceiveDelayed {
+        /// The delayed receiver.
+        pid: Pid,
+        /// Free capacity at the time.
+        resource_no: i64,
+        /// Capacity `Rmax`.
+        rmax: i64,
+    },
+    /// ST-7a: more successful receives than sends.
+    ReceivesExceedSends {
+        /// Successful receives.
+        r: u64,
+        /// Successful sends.
+        s: u64,
+    },
+    /// ST-7a: more successful sends than receives plus capacity.
+    SendsExceedCapacity {
+        /// Successful sends.
+        s: u64,
+        /// Successful receives.
+        r: u64,
+        /// Capacity `Rmax`.
+        rmax: i64,
+    },
+    /// ST-8 (generalized): a call the declared call order does not
+    /// allow. The procedure name and the path source are looked up in
+    /// `spec` when rendered.
+    CallOrder {
+        /// The calling process.
+        pid: Pid,
+        /// The procedure called.
+        proc_name: ProcName,
+        /// The monitor's declaration.
+        spec: Arc<MonitorSpec>,
+    },
+    /// ST-8a: a request for an access right already held.
+    DuplicateRequest {
+        /// The requesting process.
+        pid: Pid,
+    },
+    /// ST-8b: a release without a preceding request.
+    ReleaseWithoutRequest {
+        /// The releasing process.
+        pid: Pid,
+    },
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::Text(text) => f.write_str(text),
+            Detail::ParkedOnEntryQueue { pid, kind } => {
+                write!(f, "{pid} issued {} while parked on the entry queue", kind.tag())
+            }
+            Detail::ParkedOnCondQueue { pid, kind } => {
+                write!(f, "{pid} issued {} while parked on a condition queue", kind.tag())
+            }
+            Detail::BlockedWhileFree { pid, inside } => {
+                write!(f, "{pid} blocked on entry while {inside} process(es) were inside")
+            }
+            Detail::EnterNotUnique { pid, inside } => {
+                write!(f, "after Enter by {pid} the monitor holds {inside} processes")
+            }
+            Detail::PhantomWaiter { pid } => write!(
+                f,
+                "Signal-Exit by {pid} claims a resumed waiter but the replayed condition \
+                 queue is empty"
+            ),
+            Detail::TerminatedInside { pid } => {
+                write!(f, "{pid} terminated inside the monitor without exiting")
+            }
+            Detail::RunningCrowded { inside } => write!(f, "Running-List holds {inside} processes"),
+            Detail::CallerNotRunning { pid, kind, running } => {
+                write!(f, "{pid} performed {} but Running-List was {running:?}", kind.tag())
+            }
+            Detail::SendDelayed { pid, resource_no } => {
+                write!(
+                    f,
+                    "{pid} delayed on Send while Resource-No = {resource_no} (buffer not full)"
+                )
+            }
+            Detail::ReceiveDelayed { pid, resource_no, rmax } => write!(
+                f,
+                "{pid} delayed on Receive while Resource-No = {resource_no} of {rmax} \
+                 (buffer not empty)"
+            ),
+            Detail::ReceivesExceedSends { r, s } => {
+                write!(f, "successful receives r = {r} exceed successful sends s = {s}")
+            }
+            Detail::SendsExceedCapacity { s, r, rmax } => {
+                write!(f, "successful sends s = {s} exceed r + Rmax = {r} + {rmax}")
+            }
+            Detail::CallOrder { pid, proc_name, spec } => write!(
+                f,
+                "call to {} by {pid} violates the declared call order {}",
+                spec.proc_display(*proc_name),
+                spec.call_order.as_ref().map_or("", |p| p.source())
+            ),
+            Detail::DuplicateRequest { pid } => {
+                write!(f, "{pid} requested an access right it already holds")
+            }
+            Detail::ReleaseWithoutRequest { pid } => {
+                write!(f, "{pid} called Release without a preceding Request")
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+impl PartialEq for Detail {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl Eq for Detail {}
+
+impl From<String> for Detail {
+    fn from(text: String) -> Self {
+        Detail::Text(text)
+    }
+}
+
+impl From<&str> for Detail {
+    fn from(text: &str) -> Self {
+        Detail::Text(text.to_owned())
+    }
+}
+
+impl Serialize for Detail {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(&self.to_string())
+    }
+}
+
+impl<'de> Deserialize<'de> for Detail {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        String::deserialize(deserializer).map(Detail::Text)
     }
 }
 
@@ -251,6 +482,23 @@ mod tests {
         assert!(s.contains("P2"), "{s}");
         assert!(s.contains("l7"), "{s}");
         assert!(s.contains("E1"), "{s}");
+    }
+
+    #[test]
+    fn violation_stays_small() {
+        // A verdict's detail is data, not a string; it may grow the
+        // struct by one word at most.
+        assert!(std::mem::size_of::<Violation>() <= 72, "{}", std::mem::size_of::<Violation>());
+    }
+
+    #[test]
+    fn details_equal_by_rendered_text() {
+        let structured = Detail::DuplicateRequest { pid: Pid::new(3) };
+        let text = Detail::from("P3 requested an access right it already holds");
+        assert_eq!(structured, text);
+        assert_eq!(format!("{structured:?}"), format!("{text:?}"));
+        assert_ne!(structured, Detail::ReleaseWithoutRequest { pid: Pid::new(3) });
+        assert_ne!(text, Detail::from(String::from("P3")));
     }
 
     #[test]

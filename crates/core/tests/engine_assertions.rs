@@ -56,7 +56,7 @@ fn violated_capacity_assertion_fires() {
     let report = det.checkpoint(Nanos::new(10), &[], &snaps);
     assert!(report.violates_any(&[RuleId::UserAssertion]), "{report}");
     let v = report.by_rule(RuleId::UserAssertion).next().expect("one assertion violation");
-    assert!(v.message.contains("R#"), "{}", v.message);
+    assert!(v.message.to_string().contains("R#"), "{}", v.message);
 }
 
 #[test]

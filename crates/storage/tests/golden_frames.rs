@@ -35,7 +35,7 @@ fn violation(seq: u64) -> Violation {
         pid: Some(Pid::new(7)),
         event_seq: Some(seq),
         detected_at: Nanos::new(seq * 3),
-        message: format!("v{seq}"),
+        message: format!("v{seq}").into(),
     }
 }
 

@@ -49,7 +49,7 @@ fn main() {
         .violations
         .iter()
         .filter(|v| v.rule == RuleId::UserAssertion)
-        .map(|v| v.message.clone())
+        .map(|v| v.message.to_string())
         .collect();
     println!("reserve assertion violations: {asserts:?}");
     assert!(!asserts.is_empty(), "draining the reserve must trip the assertion");

@@ -333,11 +333,10 @@ fn every_near_miss_stays_silent_on_its_code() {
 fn catalogue_covers_every_single_spec_code() {
     let covered: std::collections::BTreeSet<&str> =
         catalogue().iter().map(|(c, _, _)| c.as_str()).collect();
-    // RML012: retired (the compiled table is trim). RML016: a
-    // front-end code, tested below; its state-cap case is unit-tested
-    // in core.
+    // RML016: a front-end code, tested below; its state-cap case is
+    // unit-tested in core.
     // RML04x: fleet-level, tested below.
-    let excluded = ["RML012", "RML016", "RML040", "RML041", "RML042", "RML043"];
+    let excluded = ["RML016", "RML040", "RML041", "RML042", "RML043"];
     for code in DiagCode::all() {
         if excluded.contains(&code.as_str()) {
             continue;
