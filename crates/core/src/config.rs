@@ -40,22 +40,27 @@ impl PredictMode {
     }
 }
 
-/// Per-monitor instrumentation mode: how long a monitor operation
-/// blocks on handing its event to the detection layer.
+/// Per-monitor instrumentation mode: how long a monitor operation keeps
+/// offering its event to the detection layer when the layer pushes
+/// back (a full shard inbox,
+/// [`Backpressure::Full`](crate::detect::Backpressure::Full)).
 ///
-/// The mode forms a small lattice of coupling strength,
-/// `Sync ⊐ Hybrid(t) ⊐ Async`:
+/// The mode is applied in one place, the embedding runtime's record
+/// path (`rmon-rt`'s `RtInner::record_observe`); a producer handle
+/// itself never waits on anything but a full inbox. The mode forms a
+/// small lattice of coupling strength, `Sync ⊐ Hybrid(t) ⊐ Async`:
 ///
-/// * [`Sync`](Mode::Sync) — the paper's shape: the operation blocks
-///   until the event is delivered to the detector. Detection lag is
-///   zero, instrumentation overhead is maximal.
-/// * [`Hybrid`](Mode::Hybrid) — bounded coupling: block up to the
-///   given timeout, then detach and let the event ride the retained
-///   buffer (delivery stays guaranteed, only the *wait* is bounded).
-/// * [`Async`](Mode::Async) — fire-and-forget: never block the
-///   monitor operation; events buffer and drain in the background.
-///   Checkpoints still barrier on full delivery, so verdicts are
-///   unchanged — only their latency moves.
+/// * [`Sync`](Mode::Sync) — the paper's shape: a refused hand-off is
+///   retried a few times, then the operation blocks until the inbox
+///   takes the batch. Instrumentation overhead is maximal.
+/// * [`Hybrid`](Mode::Hybrid) — bounded coupling: retry up to the
+///   given timeout, then detach and leave the batch retained in the
+///   handle (delivery stays guaranteed, only the *wait* is bounded).
+/// * [`Async`](Mode::Async) — fire-and-forget: one attempt, never a
+///   wait; a refused batch stays retained and is re-offered on the
+///   handle's next observation or flush. Checkpoints replay the
+///   recorded window, so verdicts are unchanged — only their latency
+///   moves.
 ///
 /// The default is `Sync` (paper-faithful). Backends that support
 /// per-monitor modes (the `AsyncBackend`) register every monitor in
@@ -63,31 +68,13 @@ impl PredictMode {
 /// backend's owner sets it (`AsyncBackend::set_mode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Mode {
-    /// Block until the event reaches the detector (paper-faithful).
+    /// Block until the event reaches a shard inbox (paper-faithful).
     #[default]
     Sync,
-    /// Never block; events drain in the background.
+    /// Never block; a refused batch waits in the handle.
     Async,
-    /// Block up to the timeout, then detach.
+    /// Retry up to the timeout, then detach.
     Hybrid(Nanos),
-}
-
-impl Mode {
-    /// Whether this mode ever blocks the instrumented operation.
-    pub fn blocks(self) -> bool {
-        !matches!(self, Mode::Async)
-    }
-
-    /// The maximum time this mode blocks: `None` for unbounded
-    /// ([`Sync`](Mode::Sync)), `Some(ZERO)` for never
-    /// ([`Async`](Mode::Async)).
-    pub fn bound(self) -> Option<Nanos> {
-        match self {
-            Mode::Sync => None,
-            Mode::Async => Some(Nanos::ZERO),
-            Mode::Hybrid(t) => Some(t),
-        }
-    }
 }
 
 /// Timing parameters for the detection algorithms.
@@ -262,15 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn mode_defaults_sync_and_exposes_its_bound() {
+    fn mode_defaults_sync_and_the_builder_sets_it() {
         assert_eq!(DetectorConfig::default().mode, Mode::Sync);
         assert_eq!(DetectorConfig::without_timeouts().mode, Mode::Sync);
-        assert!(Mode::Sync.blocks());
-        assert!(!Mode::Async.blocks());
-        assert!(Mode::Hybrid(Nanos::from_millis(1)).blocks());
-        assert_eq!(Mode::Sync.bound(), None);
-        assert_eq!(Mode::Async.bound(), Some(Nanos::ZERO));
-        assert_eq!(Mode::Hybrid(Nanos::from_millis(1)).bound(), Some(Nanos::from_millis(1)));
         let c = DetectorConfig::builder().mode(Mode::Async).build();
         assert_eq!(c.mode, Mode::Async);
     }

@@ -33,8 +33,8 @@
 //! * [`ScheduledBackend`](crate::detect::ScheduledBackend) — the same
 //!   core with a ticker (a thread sweeps the shards round-robin, no
 //!   global barrier) — and [`AsyncBackend`](crate::detect::AsyncBackend)
-//!   — the same core with queued ingest and per-monitor
-//!   instrumentation modes.
+//!   — the same core with per-monitor instrumentation modes, which the
+//!   embedding runtime applies on its record path.
 //!
 //! # Why per-thread handles are sound
 //!
@@ -148,10 +148,6 @@ pub trait SnapshotProvider: Send + Sync + std::fmt::Debug {
     /// comparison).
     fn snapshot(&self, monitor: MonitorId, now: Nanos) -> Option<MonitorState>;
 
-    /// Bulk form of [`Self::snapshot`]: every monitor the provider can
-    /// observe right now.
-    fn snapshot_all(&self, now: Nanos) -> HashMap<MonitorId, MonitorState>;
-
     /// How many events have been recorded for `monitor` so far, or
     /// `None` if the provider's snapshots are consistent by
     /// construction (fixtures over quiescent traces). See the
@@ -230,10 +226,6 @@ impl SnapshotProvider for SnapshotTable {
         self.lock().snapshots.get(&monitor).cloned()
     }
 
-    fn snapshot_all(&self, _now: Nanos) -> HashMap<MonitorId, MonitorState> {
-        self.lock().snapshots.clone()
-    }
-
     fn events_recorded(&self, monitor: MonitorId) -> Option<u64> {
         self.lock().counts.get(&monitor).copied()
     }
@@ -304,12 +296,10 @@ pub trait ProducerHandle: Send + std::fmt::Debug {
     ///
     /// The default forwards to [`Self::observe`] and reports
     /// [`Backpressure::Accepted`] — correct for handles that never
-    /// block on a full queue: the inline backend's synchronous handle,
-    /// and the queued handle of an
-    /// [`AsyncBackend`](crate::detect::AsyncBackend). A queued handle
-    /// has no backpressure; it waits only as long as the monitor's
-    /// [`Mode`] says: until delivery for `Sync`, up to the bound for
-    /// `Hybrid`, not at all for `Async`.
+    /// block on a full queue, like the inline backend's synchronous
+    /// handle. A handle never waits here: how long to keep retrying
+    /// after `Full` is the monitor's [`Mode`], which the caller
+    /// applies.
     fn try_observe(&mut self, event: Event) -> Backpressure {
         self.observe(event);
         Backpressure::Accepted
@@ -468,7 +458,8 @@ pub trait DetectionBackend: Send + Sync + std::fmt::Debug {
     /// `DetectorConfig::mode`, and an `AsyncBackend` the monitor's mode
     /// cell, which only its owner's `set_mode` moves. Embedding
     /// runtimes consult this on the record path to decide how long a
-    /// monitor operation blocks on event hand-off.
+    /// monitor operation keeps retrying a hand-off that reported
+    /// [`Backpressure::Full`].
     fn instrumentation_mode(&self, monitor: MonitorId) -> Mode {
         let _ = monitor;
         Mode::Sync

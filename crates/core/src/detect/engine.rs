@@ -540,6 +540,11 @@ impl Detector {
             if predict_on && !merged.is_empty() {
                 predict_windows.push((monitor, std::mem::take(&mut merged)));
             }
+            // Give the buffer back cleared (unless the predictor took
+            // it), so the next window's observe_into refills it
+            // instead of regrowing it from empty by doubling.
+            merged.clear();
+            checker.pending = merged;
             // Step 2: snapshot comparison, user assertions and timers.
             // The consistency gate (see checkpoint_scoped) may defer
             // the comparison to a later, quiescent sweep.
@@ -606,6 +611,26 @@ mod tests {
         let mut det = Detector::new(DetectorConfig::without_timeouts());
         det.register_empty(M, Arc::new(al.spec.clone()), Nanos::ZERO);
         (det, al)
+    }
+
+    /// A checkpoint hands a monitor's pending buffer back cleared, with
+    /// its capacity, so the next window does not regrow it.
+    #[test]
+    fn checkpoint_keeps_the_pending_buffers_capacity() {
+        let (mut det, al) = detector_with_allocator(1);
+        let mut sink = Vec::new();
+        for seq in 1..=100u64 {
+            let proc_name = if seq % 2 == 1 { al.request } else { al.release };
+            det.observe_into(
+                &Event::enter(seq, Nanos::new(seq * 10), M, Pid::new(1), proc_name, true),
+                &mut sink,
+            );
+        }
+        assert_eq!(det.checker(M).unwrap().pending_events(), 100);
+        let _ = det.checkpoint_scoped(Nanos::new(2000), &HashMap::new(), &HashMap::new(), None);
+        let pending = &det.monitors[&M].pending;
+        assert!(pending.is_empty());
+        assert!(pending.capacity() >= 100, "capacity {} after the checkpoint", pending.capacity());
     }
 
     #[test]

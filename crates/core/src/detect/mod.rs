@@ -32,8 +32,9 @@
 //! buffers). It has two implementations: [`InlineBackend`], and the
 //! shard core, whose configurations are named [`ShardedBackend`],
 //! [`ScheduledBackend`] (the core with a checkpoint ticker) and
-//! [`AsyncBackend`] (the core with queued ingest and a per-monitor
-//! instrumentation [`Mode`](crate::Mode) that only its owner sets).
+//! [`AsyncBackend`] (the core with a per-monitor instrumentation
+//! [`Mode`](crate::Mode) that only its owner sets, and that an
+//! embedding runtime applies on its record path).
 //! The checkpoint half of the API is a trait
 //! pair of its own: a [`SnapshotProvider`] supplies live monitor-state
 //! observations (the paper's `s_t`) and

@@ -1,5 +1,5 @@
 //! The shard core: the one worker pool behind every multi-threaded
-//! [`DetectionBackend`], and the two policies that configure it.
+//! [`DetectionBackend`], and the configurations built on it.
 //!
 //! The prototype of §4 runs one data-gathering routine and one checking
 //! routine invoked every `T`. That is faithful but serial: every
@@ -18,17 +18,14 @@
 //!   so a checkpoint enqueued after a batch sees that batch's effects
 //!   and the observational behaviour is that of one inline detector,
 //!   independent of shard count; every report is canonically re-sorted.
-//! * **Ingest policy** — how an observing thread's events reach the
-//!   inboxes. *Bounded blocking* (the default): each
-//!   [`ProducerHandle`] owns per-shard batch buffers and private clones
-//!   of the inbox senders, one send per shard per batch, and a full
-//!   inbox blocks the producer (backpressure). *Queued*: events enqueue
-//!   on an unbounded per-shard delivery queue that a plain drain thread
-//!   empties into the inbox, so an enqueue never blocks, and a
-//!   per-monitor [`Mode`] decides how long the observer then waits on
-//!   its event's delivery ticket. Every barrier first
-//!   [quiesces](ShardCore::quiesce) the queues, so asynchrony moves
-//!   detection latency, never detection results.
+//! * **Ingest** — how an observing thread's events reach the inboxes:
+//!   each [`ProducerHandle`] owns per-shard batch buffers and private
+//!   clones of the inbox senders, one send per shard per batch, and a
+//!   full inbox blocks the producer's `flush` (backpressure) or makes
+//!   its `try_flush` report [`Backpressure::Full`] with the batch kept.
+//!   How long an observing thread keeps trying is its monitor's
+//!   [`Mode`], which the embedding runtime applies on its record path;
+//!   the handle itself never waits on anything but a full inbox.
 //! * **Checkpoint cadence** — who invokes the checking routine. The
 //!   *caller* always can ([`DetectionBackend::checkpoint`],
 //!   [`DetectionBackend::checkpoint_window`]); with a *ticker* the core
@@ -36,11 +33,11 @@
 //!   [`SchedulerConfig::interval`], round-robin, and what those sweeps
 //!   find surfaces through [`DetectionBackend::drain_violations`].
 //!
-//! One struct, [`ShardCore`], holds the pool with the queue and the
-//! ticker as optional members, and implements [`DetectionBackend`]
-//! once. The three configurations that exist are named
-//! [`ShardedBackend`] (bounded, caller), [`ScheduledBackend`]
-//! (bounded, ticker) and [`AsyncBackend`] (queued, caller).
+//! One struct, [`ShardCore`], holds the pool with the ticker as an
+//! optional member, and implements [`DetectionBackend`] once. The three
+//! configurations that exist are named [`ShardedBackend`] (caller
+//! checkpoints), [`ScheduledBackend`] (plus the ticker) and
+//! [`AsyncBackend`] (plus a per-monitor [`Mode`] that its owner sets).
 //!
 //! **Ordering precondition.** The equivalence with one inline detector
 //! assumes each *caller's* events (per [`Pid`], per monitor) are
@@ -100,9 +97,9 @@ use crate::state::MonitorState;
 use crate::time::Nanos;
 use crate::violation::{FaultReport, Violation};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -536,48 +533,14 @@ impl Drop for ShardedProducer {
 }
 
 // ---------------------------------------------------------------------
-// Queued ingest: per-shard delivery queues and their drain threads
+// Per-monitor instrumentation modes
 // ---------------------------------------------------------------------
 
-/// One event's delivery ticket: resolved when the event has been
-/// handed to its shard worker's inbox. The event was enqueued when the
-/// ticket was issued, so giving up the wait never cancels delivery.
-/// The three instrumentation modes are three ways of holding one:
-/// [`Mode::Sync`] waits, [`Mode::Hybrid`] waits up to its timeout,
-/// [`Mode::Async`] never asks for one.
-#[derive(Debug, Default)]
-struct DeliveryState {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl DeliveryState {
-    fn mark_done(&self) {
-        *lock(&self.done) = true;
-        self.cv.notify_all();
-    }
-
-    /// Waits for delivery, for at most `timeout` when one is given.
-    fn wait(&self, timeout: Option<Nanos>) {
-        let deadline = timeout.map(|t| Instant::now() + t.to_duration());
-        let mut done = lock(&self.done);
-        while !*done {
-            done = match deadline {
-                None => self.cv.wait(done).unwrap_or_else(|p| p.into_inner()),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return;
-                    }
-                    self.cv.wait_timeout(done, deadline - now).unwrap_or_else(|p| p.into_inner()).0
-                }
-            };
-        }
-    }
-}
-
-/// Lock-free mirror of a monitor's current [`Mode`], read by observers
-/// on every record. Tag in the top bits, Hybrid timeout in the low 62
+/// One monitor's current [`Mode`] in one atomic word, so that
+/// [`AsyncBackend::set_mode`] and the per-event
+/// [`DetectionBackend::instrumentation_mode`] both need only the shared
+/// side of the mode map's lock; registration alone takes it
+/// exclusively. Tag in the top bits, Hybrid timeout in the low 62
 /// (timeouts saturate at ~146 years, which is not a real constraint).
 #[derive(Debug)]
 struct ModeCell(AtomicU64);
@@ -611,233 +574,6 @@ impl ModeCell {
             MODE_ASYNC => Mode::Async,
             _ => Mode::Hybrid(Nanos::new(bits & MODE_VALUE_MASK)),
         }
-    }
-}
-
-/// One enqueued event, with a ticket only when someone intends to wait
-/// (blocking modes); fire-and-forget enqueues skip the allocation.
-#[derive(Debug)]
-struct QueueItem {
-    event: Event,
-    ticket: Option<Arc<DeliveryState>>,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    items: VecDeque<QueueItem>,
-    /// The shard's drain thread is parked on the condvar: the next
-    /// enqueue notifies it. Kept so that an enqueue onto a queue whose
-    /// drain thread is busy costs no wake-up call.
-    parked: bool,
-}
-
-/// An unbounded per-shard delivery queue feeding one drain thread.
-#[derive(Debug, Default)]
-struct ShardQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-/// Outstanding-delivery accounting: producers bump on enqueue,
-/// drainers settle on hand-off, barriers wait for zero.
-#[derive(Debug, Default)]
-struct QuiesceCounter {
-    pending: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl QuiesceCounter {
-    fn add(&self, n: u64) {
-        self.pending.fetch_add(n, Ordering::AcqRel);
-    }
-
-    fn settle(&self, n: u64) {
-        if self.pending.fetch_sub(n, Ordering::AcqRel) == n {
-            // Last outstanding delivery: take the lock so a waiter
-            // between its check and its wait cannot miss the signal.
-            let _guard = lock(&self.lock);
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait_zero(&self) {
-        let mut guard = lock(&self.lock);
-        while self.pending.load(Ordering::Acquire) != 0 {
-            guard = self.cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.pending.load(Ordering::Acquire)
-    }
-}
-
-/// The queued ingest policy's state, shared by the core, its handles
-/// and the drain threads: the per-shard queues, the outstanding-
-/// delivery count every barrier waits on, and the per-monitor
-/// instrumentation modes.
-#[derive(Debug)]
-struct Delivery {
-    queues: Vec<ShardQueue>,
-    quiesce: QuiesceCounter,
-    /// The core's intake flag (the same one buffered handles read).
-    open: Arc<AtomicBool>,
-    /// Per registered monitor: the mode cell observers read on the
-    /// observe path. Only [`AsyncBackend::set_mode`] moves it.
-    modes: Mutex<HashMap<MonitorId, Arc<ModeCell>>>,
-    /// The mode monitors are registered in (`DetectorConfig::mode`).
-    base: Mode,
-}
-
-impl Delivery {
-    fn new(shards: usize, base: Mode, open: Arc<AtomicBool>) -> Self {
-        Delivery {
-            queues: (0..shards).map(|_| ShardQueue::default()).collect(),
-            quiesce: QuiesceCounter::default(),
-            open,
-            modes: Mutex::new(HashMap::new()),
-            base,
-        }
-    }
-
-    fn mode_cell(&self, monitor: MonitorId) -> Option<Arc<ModeCell>> {
-        lock(&self.modes).get(&monitor).map(Arc::clone)
-    }
-
-    fn register(&self, monitor: MonitorId) {
-        lock(&self.modes).insert(monitor, Arc::new(ModeCell::new(self.base)));
-    }
-
-    /// Enqueues one event for delivery, returning a ticket when
-    /// `wait` — the caller intends to await the hand-off.
-    fn enqueue(&self, event: Event, wait: bool) -> Option<Arc<DeliveryState>> {
-        let queue = &self.queues[shard_for(event.monitor, self.queues.len())];
-        let ticket = wait.then(|| Arc::new(DeliveryState::default()));
-        let mut st = lock(&queue.state);
-        // Read under the queue lock, where the drain thread reads it
-        // before it exits: an enqueue that sees the intake open is
-        // therefore still seen by the drain thread, and one that comes
-        // after the thread has gone sees it closed. Post-shutdown
-        // observes are dropped, like every backend's.
-        if !self.open.load(Ordering::Acquire) {
-            return None;
-        }
-        self.quiesce.add(1);
-        st.items.push_back(QueueItem { event, ticket: ticket.clone() });
-        let wake = std::mem::take(&mut st.parked);
-        drop(st);
-        if wake {
-            queue.cv.notify_one();
-        }
-        ticket
-    }
-
-    /// One shard's drain thread: moves queued events into the shard's
-    /// bounded inbox, at most `batch` per message, until the intake is
-    /// closed and the queue is empty. A full inbox blocks this thread —
-    /// never an observing one.
-    fn drain(&self, shard: usize, sender: &Sender<ShardMsg>, batch: &AtomicUsize) {
-        let queue = &self.queues[shard];
-        let mut taken: Vec<QueueItem> = Vec::new();
-        loop {
-            {
-                let mut st = lock(&queue.state);
-                while st.items.is_empty() {
-                    if !self.open.load(Ordering::Acquire) {
-                        return;
-                    }
-                    st.parked = true;
-                    st = queue.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                // Relaxed: the batch size publishes no other data.
-                let take = st.items.len().min(batch.load(Ordering::Relaxed));
-                taken.extend(st.items.drain(..take));
-            }
-            // A disconnected inbox means the worker is gone (shutdown):
-            // the events are dropped, exactly like post-shutdown
-            // observes, and settled below all the same.
-            let _ = sender.send(ShardMsg::Batch(taken.iter().map(|item| item.event).collect()));
-            // Settle the quiesce counter BEFORE resolving any ticket: a
-            // waiter woken by its ticket must observe `undelivered()`
-            // already decremented.
-            self.quiesce.settle(taken.len() as u64);
-            for item in taken.drain(..) {
-                if let Some(ticket) = item.ticket {
-                    ticket.mark_done();
-                }
-            }
-        }
-    }
-
-    /// Wakes every drain thread so that it sees the closed intake.
-    /// Taking each queue's lock orders the wake-up after a drain
-    /// thread's check of the flag: it either has yet to check, or is
-    /// already waiting.
-    fn wake_drains(&self) {
-        for queue in &self.queues {
-            let _st = lock(&queue.state);
-            queue.cv.notify_all();
-        }
-    }
-}
-
-/// The queued core's handle: every enqueue is a short lock on the
-/// owning shard's queue — never a blocking channel send — and the
-/// per-monitor mode cell decides how long [`ProducerHandle::observe`]
-/// then waits on the delivery ticket. `try_observe` is the trait's
-/// default, `observe`: the unbounded queue never pushes back, so the
-/// only wait is the one the monitor's mode asks for.
-#[derive(Debug)]
-struct QueuedProducer {
-    delivery: Arc<Delivery>,
-    /// Handle-local mode-cell cache (one map lookup per monitor per
-    /// handle lifetime, then atomic loads).
-    cells: HashMap<MonitorId, Option<Arc<ModeCell>>>,
-}
-
-impl QueuedProducer {
-    fn mode(&mut self, monitor: MonitorId) -> Mode {
-        let delivery = &self.delivery;
-        self.cells
-            .entry(monitor)
-            .or_insert_with(|| delivery.mode_cell(monitor))
-            .as_ref()
-            .map(|c| c.load())
-            .unwrap_or(delivery.base)
-    }
-}
-
-impl ProducerHandle for QueuedProducer {
-    fn observe(&mut self, event: Event) {
-        // Delivery is guaranteed in every mode — the modes bound the
-        // *wait*, never the hand-off.
-        let mode = self.mode(event.monitor);
-        if let Some(ticket) = self.delivery.enqueue(event, mode.blocks()) {
-            ticket.wait(mode.bound());
-        }
-    }
-
-    fn flush(&mut self) {
-        self.delivery.quiesce.wait_zero();
-    }
-
-    fn try_flush(&mut self) -> Backpressure {
-        if self.delivery.quiesce.outstanding() == 0 {
-            Backpressure::Accepted
-        } else {
-            Backpressure::Full
-        }
-    }
-
-    fn pending(&self) -> usize {
-        // Handle-local buffering does not exist; outstanding delivery
-        // is backend-global.
-        0
-    }
-
-    fn is_closed(&self) -> bool {
-        !self.delivery.open.load(Ordering::Acquire)
     }
 }
 
@@ -888,12 +624,11 @@ struct Sweeps {
 // The core
 // ---------------------------------------------------------------------
 
-/// Default events per hand-off: a buffered handle's flush threshold
-/// and a drain thread's take size.
+/// Default events per hand-off: a producer handle's flush threshold.
 pub const DEFAULT_INGEST_BATCH: usize = 64;
 
-/// Everything the core's own threads (ticker, drain threads) share with
-/// the handle the caller holds.
+/// Everything the core's ticker shares with the handle the caller
+/// holds.
 #[derive(Debug)]
 struct Shared {
     senders: Vec<Sender<ShardMsg>>,
@@ -905,12 +640,6 @@ struct Shared {
     provider: ProviderSlot,
     /// Cleared by shutdown; every handle reads it before ingesting.
     open: Arc<AtomicBool>,
-    /// Events per hand-off — the one batch value: handles created after
-    /// a change buffer this many before a flush, and a drain thread
-    /// takes at most this many per inbox message.
-    batch: AtomicUsize,
-    /// The queued ingest policy, when the core was built with it.
-    delivery: Option<Arc<Delivery>>,
     /// The ticker cadence's findings, when the core was built with it.
     sweeps: Option<Sweeps>,
 }
@@ -1036,15 +765,14 @@ impl Shared {
 /// The threads a core owns, in the order shutdown stops them.
 #[derive(Debug, Default)]
 struct Threads {
-    drains: Vec<thread::JoinHandle<()>>,
     ticker: Option<(Sender<()>, thread::JoinHandle<()>)>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
 /// The sharded detection core (see the [module docs](self)): a pool of
 /// shard workers, each owning a private [`Detector`], with an optional
-/// delivery queue in front of it and an optional ticker beside it, and
-/// the one [`DetectionBackend`] implementation of the family.
+/// ticker beside it and optional per-monitor mode cells, and the one
+/// [`DetectionBackend`] implementation of the family.
 ///
 /// Functionally equivalent to one inline [`Detector`] — same
 /// registrations, same violations — but the checking work for
@@ -1060,6 +788,13 @@ struct Threads {
 pub struct ShardCore<const FLAVOR: u8> {
     /// The configured instrumentation mode.
     mode: Mode,
+    /// Per registered monitor, its mode cell — only on an
+    /// [`AsyncBackend`], so the other flavours answer
+    /// [`DetectionBackend::instrumentation_mode`] without a lock.
+    modes: Option<RwLock<HashMap<MonitorId, ModeCell>>>,
+    /// Events per hand-off: a handle created by
+    /// [`DetectionBackend::producer`] flushes at this many.
+    batch: usize,
     shared: Arc<Shared>,
     threads: Mutex<Threads>,
 }
@@ -1088,26 +823,27 @@ pub type ShardedBackend = ShardCore<SHARDED>;
 /// epoch injects its clock via [`ScheduledBackend::with_clock`].
 pub type ScheduledBackend = ShardCore<SCHEDULED>;
 
-/// The core with queued ingest: unbounded per-shard delivery queues and
-/// their drain threads decouple the observing threads from the bounded
-/// shard inboxes, and a per-monitor [`Mode`] — `DetectorConfig::mode`
-/// at registration, changed only by [`AsyncBackend::set_mode`] —
-/// decides how long each observer waits on its event's delivery ticket.
+/// [`ShardedBackend`] plus a per-monitor [`Mode`]:
+/// `DetectorConfig::mode` at registration, changed only by
+/// [`AsyncBackend::set_mode`], and answered by
+/// [`DetectionBackend::instrumentation_mode`]. Its handles are the
+/// same buffered handles; an embedding runtime reads the mode on its
+/// record path and decides there how long a monitor operation keeps
+/// offering its event to a full inbox.
 ///
 /// The paper's instrumentation is fully synchronous: every monitor
-/// operation blocks until its event has reached the detector, which
-/// collapses ingest under producer fan-in. The detectEr line of work
-/// makes the sync/async choice a *per-monitor knob*; this is that knob.
+/// operation blocks until its event has reached the detector. The
+/// detectEr line of work makes the sync/async choice a *per-monitor
+/// knob*; this is that knob.
 pub type AsyncBackend = ShardCore<ASYNC>;
 
 impl<const FLAVOR: u8> ShardCore<FLAVOR> {
     /// Spawns `service.shards` worker threads, each owning a private
-    /// [`Detector`] built from `cfg`, then one drain thread per shard if
-    /// `queued` and the ticker if a `schedule` is given.
+    /// [`Detector`] built from `cfg`, then the ticker if a `schedule` is
+    /// given.
     fn spawn(
         cfg: DetectorConfig,
         service: ServiceConfig,
-        queued: bool,
         schedule: Option<(SchedulerConfig, ClockFn)>,
     ) -> Self {
         let shards = service.shards.max(1);
@@ -1124,27 +860,14 @@ impl<const FLAVOR: u8> ShardCore<FLAVOR> {
             senders.push(tx);
             threads.workers.push(handle);
         }
-        let open = Arc::new(AtomicBool::new(true));
         let shared = Arc::new(Shared {
             senders,
             collector,
             directory: Mutex::new(Vec::new()),
             provider: ProviderSlot::default(),
-            delivery: queued.then(|| Arc::new(Delivery::new(shards, cfg.mode, Arc::clone(&open)))),
-            open,
-            batch: AtomicUsize::new(DEFAULT_INGEST_BATCH),
+            open: Arc::new(AtomicBool::new(true)),
             sweeps: schedule.is_some().then(Sweeps::default),
         });
-        if let Some(delivery) = &shared.delivery {
-            for shard in 0..shards {
-                let (delivery, shared) = (Arc::clone(delivery), Arc::clone(&shared));
-                let handle = thread::Builder::new()
-                    .name(format!("rmon-drain-{shard}"))
-                    .spawn(move || delivery.drain(shard, &shared.senders[shard], &shared.batch))
-                    .expect("spawn drain thread");
-                threads.drains.push(handle);
-            }
-        }
         if let Some((scheduler, clock)) = schedule {
             let (stop, stop_rx) = bounded::<()>(1);
             let ticking = Arc::clone(&shared);
@@ -1154,28 +877,21 @@ impl<const FLAVOR: u8> ShardCore<FLAVOR> {
                 .expect("spawn scheduler ticker");
             threads.ticker = Some((stop, handle));
         }
-        ShardCore { mode: cfg.mode, shared, threads: Mutex::new(threads) }
+        ShardCore {
+            mode: cfg.mode,
+            modes: (FLAVOR == ASYNC).then(RwLock::default),
+            batch: DEFAULT_INGEST_BATCH,
+            shared,
+            threads: Mutex::new(threads),
+        }
     }
 
     /// Overrides the events per hand-off (clamped to at least 1): how
-    /// many events a producer handle created *after* the call buffers
-    /// before flushing a batch to the shards, and how many a drain
-    /// thread takes from its queue per inbox message.
-    pub fn with_batch(self, batch: usize) -> Self {
-        // Relaxed: the batch size publishes no other data.
-        self.shared.batch.store(batch.max(1), Ordering::Relaxed);
+    /// many events a producer handle buffers before flushing a batch to
+    /// the shards.
+    pub fn with_batch(mut self, batch: usize) -> Self {
+        self.batch = batch.max(1);
         self
-    }
-
-    /// Blocks until every enqueued event has reached its shard worker's
-    /// inbox. Checkpoints, stats and violation drains call this
-    /// implicitly; it is public for tests and operators that want an
-    /// explicit barrier. A no-op on a core without a delivery queue,
-    /// where a returned `flush` already means handed over.
-    pub fn quiesce(&self) {
-        if let Some(delivery) = &self.shared.delivery {
-            delivery.quiesce.wait_zero();
-        }
     }
 }
 
@@ -1183,7 +899,7 @@ impl ShardedBackend {
     /// Spawns the shard workers, with the default per-handle ingest
     /// batch ([`DEFAULT_INGEST_BATCH`]).
     pub fn new(cfg: DetectorConfig, service: ServiceConfig) -> Self {
-        Self::spawn(cfg, service, false, None)
+        Self::spawn(cfg, service, None)
     }
 }
 
@@ -1207,7 +923,7 @@ impl ScheduledBackend {
         scheduler: SchedulerConfig,
         clock: ClockFn,
     ) -> Self {
-        Self::spawn(cfg, service, false, Some((scheduler, clock)))
+        Self::spawn(cfg, service, Some((scheduler, clock)))
     }
 
     /// Completed scheduler ticks (shard visits) so far.
@@ -1217,23 +933,18 @@ impl ScheduledBackend {
 }
 
 impl AsyncBackend {
-    /// Spawns the shard workers plus one drain thread per shard.
-    /// `cfg.mode` is the instrumentation mode every monitor is
-    /// registered in.
+    /// Spawns the shard workers. `cfg.mode` is the instrumentation mode
+    /// every monitor is registered in.
     pub fn new(cfg: DetectorConfig, service: ServiceConfig) -> Self {
-        Self::spawn(cfg, service, true, None)
-    }
-
-    /// Events enqueued but not yet handed to a shard worker.
-    pub fn undelivered(&self) -> u64 {
-        self.shared.delivery.as_ref().map_or(0, |d| d.quiesce.outstanding())
+        Self::spawn(cfg, service, None)
     }
 
     /// Sets a registered monitor's mode; the monitor's observers read
     /// it on their next event. Nothing else moves a mode: a monitor
     /// keeps the one it was registered in until this call.
     pub fn set_mode(&self, monitor: MonitorId, mode: Mode) {
-        if let Some(cell) = self.shared.delivery.as_ref().and_then(|d| d.mode_cell(monitor)) {
+        let Some(modes) = &self.modes else { return };
+        if let Some(cell) = modes.read().unwrap_or_else(|p| p.into_inner()).get(&monitor) {
             cell.store(mode);
         }
     }
@@ -1258,27 +969,20 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         let shard = self.shard_of(monitor);
         self.shared
             .send(shard, ShardMsg::Register { monitor, spec, initial: initial.clone(), now });
-        if let Some(delivery) = &self.shared.delivery {
-            delivery.register(monitor);
+        if let Some(modes) = &self.modes {
+            let mut modes = modes.write().unwrap_or_else(|p| p.into_inner());
+            modes.insert(monitor, ModeCell::new(self.mode));
         }
     }
 
     fn producer(&self) -> Box<dyn ProducerHandle> {
-        if let Some(delivery) = &self.shared.delivery {
-            return Box::new(QueuedProducer {
-                delivery: Arc::clone(delivery),
-                cells: HashMap::new(),
-            });
-        }
         let senders = self.shared.senders.clone();
         let bufs = senders.iter().map(|_| Vec::new()).collect();
-        // Relaxed: the batch size publishes no other data.
-        let batch = self.shared.batch.load(Ordering::Relaxed);
         Box::new(ShardedProducer {
             senders,
             bufs,
             buffered: 0,
-            batch,
+            batch: self.batch,
             pressured: false,
             open: Arc::clone(&self.shared.open),
         })
@@ -1308,7 +1012,6 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
     }
 
     fn checkpoint(&self, scope: CheckpointScope, now: Nanos) -> FaultReport {
-        self.quiesce();
         self.shared.checkpoint(scope, now, false)
     }
 
@@ -1323,7 +1026,6 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         events: &[Event],
         snapshots: &HashMap<MonitorId, MonitorState>,
     ) -> FaultReport {
-        self.quiesce();
         let n = self.shared.senders.len();
         let mut per_events: Vec<Vec<Event>> = vec![Vec::new(); n];
         for event in events {
@@ -1358,13 +1060,11 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
     }
 
     fn stats(&self) -> ServiceStats {
-        self.quiesce();
         self.shared.flush();
         ServiceStats { shards: self.shared.collector.lock().shards.clone() }
     }
 
     fn drain_violations(&self) -> Vec<Violation> {
-        self.quiesce();
         self.shared.flush();
         let mut violations = std::mem::take(&mut self.shared.collector.lock().violations);
         if let Some(sweeps) = &self.shared.sweeps {
@@ -1373,8 +1073,7 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         violations
     }
 
-    /// Closes the intake, lets the drain threads hand over what is
-    /// queued, stops the ticker, then sends every shard an explicit
+    /// Closes the intake, stops the ticker, then sends every shard an explicit
     /// shutdown message (processed after all previously ingested
     /// batches — FIFO again) and joins every thread. Subsequent
     /// ingestion is silently dropped, including sends from producer
@@ -1393,12 +1092,6 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         }
         // Joins ignore panics: a dead thread already surfaced as
         // dropped traffic.
-        if let Some(delivery) = &self.shared.delivery {
-            delivery.wake_drains();
-            for handle in threads.drains.drain(..) {
-                let _ = handle.join();
-            }
-        }
         if let Some((stop, handle)) = threads.ticker.take() {
             let _ = stop.send(());
             let _ = handle.join();
@@ -1419,12 +1112,13 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         shard_for(monitor, self.shared.senders.len())
     }
 
-    /// The monitor's mode cell on a queued core (set by
+    /// The monitor's mode cell on an [`AsyncBackend`] (set by
     /// [`AsyncBackend::set_mode`]); elsewhere, and for an unregistered
     /// monitor, the configured mode.
     fn instrumentation_mode(&self, monitor: MonitorId) -> Mode {
-        let cell = self.shared.delivery.as_ref().and_then(|d| d.mode_cell(monitor));
-        cell.map_or(self.mode, |cell| cell.load())
+        let Some(modes) = &self.modes else { return self.mode };
+        let modes = modes.read().unwrap_or_else(|p| p.into_inner());
+        modes.get(&monitor).map_or(self.mode, ModeCell::load)
     }
 }
 
@@ -1458,7 +1152,7 @@ mod tests {
         ScheduledBackend::new(cfg(), ServiceConfig::new(shards), every)
     }
 
-    fn queued(mode: Mode, shards: usize) -> AsyncBackend {
+    fn async_core(mode: Mode, shards: usize) -> AsyncBackend {
         AsyncBackend::new(DetectorConfig { mode, ..cfg() }, ServiceConfig::new(shards))
     }
 
@@ -1763,7 +1457,7 @@ mod tests {
         shutdown_is_idempotent(sharded(2));
         shutdown_is_idempotent(scheduled(2));
         for mode in [Mode::Sync, Mode::Async] {
-            shutdown_is_idempotent(queued(mode, 2));
+            shutdown_is_idempotent(async_core(mode, 2));
         }
     }
 
@@ -1818,7 +1512,7 @@ mod tests {
     fn shutdown_drains_in_flight_checkpoint_round_trips() {
         shutdown_answers_in_flight_checkpoint(sharded(2));
         shutdown_answers_in_flight_checkpoint(scheduled(2));
-        shutdown_answers_in_flight_checkpoint(queued(Mode::Sync, 2));
+        shutdown_answers_in_flight_checkpoint(async_core(Mode::Sync, 2));
     }
 
     fn dropped_handle_loses_nothing<const F: u8>(backend: ShardCore<F>) {
@@ -1833,9 +1527,7 @@ mod tests {
             al.release,
             true,
         ));
-        // A buffered handle still holds the event; a queued core's
-        // handle has no buffer of its own.
-        assert_eq!(p.pending(), usize::from(backend.shared.delivery.is_none()));
+        assert_eq!(p.pending(), 1, "{}: the handle still holds the event", backend.label());
         drop(p);
         assert!(!backend.drain_violations().is_empty(), "{}", backend.label());
     }
@@ -1844,7 +1536,7 @@ mod tests {
     fn dropping_a_handle_flushes_buffered_events() {
         dropped_handle_loses_nothing(sharded(2).with_batch(1000));
         dropped_handle_loses_nothing(scheduled(2).with_batch(1000));
-        dropped_handle_loses_nothing(queued(Mode::Async, 2).with_batch(1000));
+        dropped_handle_loses_nothing(async_core(Mode::Async, 2).with_batch(1000));
     }
 
     // -- bounded blocking ingest -------------------------------------
@@ -2263,7 +1955,7 @@ mod tests {
         backend.shutdown();
     }
 
-    // -- queued ingest -----------------------------------------------
+    // -- per-monitor modes -------------------------------------------
 
     type VerdictKeys = Vec<(Option<Pid>, Option<u64>, RuleId)>;
 
@@ -2272,7 +1964,7 @@ mod tests {
         let (spec, al) = allocator_spec();
         let mut reference: Option<VerdictKeys> = None;
         for mode in [Mode::Sync, Mode::Async, Mode::Hybrid(Nanos::from_millis(50))] {
-            let b = queued(mode, 2);
+            let b = async_core(mode, 2);
             let m = MonitorId::new(0);
             b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
             let mut p = b.producer();
@@ -2289,155 +1981,6 @@ mod tests {
             }
             b.shutdown();
         }
-    }
-
-    /// The drain-thread race PR 10 fixed, in its ticket form: the drain
-    /// thread settles the outstanding count *before* it resolves a
-    /// ticket, so a waiter released by its ticket never sees its own
-    /// event still counted as undelivered.
-    #[test]
-    fn a_waiter_released_by_its_ticket_sees_its_event_settled() {
-        let (spec, al) = allocator_spec();
-        let b = queued(Mode::Async, 1);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        let delivery = Arc::clone(b.shared.delivery.as_ref().unwrap());
-        let event = |seq: u64| {
-            Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, seq == 1)
-        };
-        for seq in 1..=10_000u64 {
-            let ticket = delivery.enqueue(event(seq), true).expect("an open intake issues tickets");
-            ticket.wait(None);
-            assert_eq!(b.undelivered(), 0, "ticket {seq} resolved before its event settled");
-        }
-        assert_eq!(b.stats().total_events(), 10_000);
-        b.shutdown();
-        // After shutdown the event is dropped and no ticket is issued:
-        // nothing is left to wait for.
-        assert!(delivery.enqueue(event(10_001), true).is_none());
-        assert_eq!(b.undelivered(), 0);
-    }
-
-    type Observing = thread::JoinHandle<(Backpressure, Box<dyn ProducerHandle>)>;
-
-    /// Runs `try_observe` on a thread of its own; the channel reports
-    /// when it returned, as the time it took.
-    fn try_observe_on_a_thread(
-        mut p: Box<dyn ProducerHandle>,
-        event: Event,
-    ) -> (Receiver<Duration>, Observing) {
-        let (done, returned) = bounded(1);
-        let observing = thread::spawn(move || {
-            let start = Instant::now();
-            let outcome = p.try_observe(event);
-            let _ = done.send(start.elapsed());
-            (outcome, p)
-        });
-        (returned, observing)
-    }
-
-    /// A blocking mode blocks on the non-blocking entry point too: the
-    /// runtime's record path reaches a queued core only through
-    /// `try_observe`, so a `Sync` monitor there must wait for delivery
-    /// and a `Hybrid` one for at most its bound.
-    #[test]
-    fn try_observe_waits_as_long_as_the_mode_says() {
-        let (spec, al) = allocator_spec();
-        let b = AsyncBackend::new(cfg(), ServiceConfig::new(1).queue_capacity(1));
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        assert_eq!(b.instrumentation_mode(m), Mode::Sync);
-        let event =
-            |seq: u64| Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, false);
-        // Stall the shard as `with_batch_sets_the_drain_threads_take_size`
-        // does: a parked worker behind a full one-deep inbox, so the
-        // drain thread cannot hand an event over.
-        let stall = || {
-            let park_rx = park_worker(&b, 0, m, al.request);
-            let (filler, filler_rx) = bounded(1);
-            b.shared.senders[0].send(ShardMsg::Flush { reply: filler }).unwrap();
-            (park_rx, filler_rx)
-        };
-
-        let (park_rx, _filler) = stall();
-        let (returned, sync) = try_observe_on_a_thread(b.producer(), event(1));
-        assert!(
-            returned.recv_timeout(Duration::from_millis(200)).is_err(),
-            "a Sync try_observe returned while its event could not be delivered"
-        );
-        assert_eq!(park_rx.recv().unwrap(), None); // release the worker
-        returned.recv_timeout(Duration::from_secs(10)).expect("returns once delivered");
-        let (outcome, p) = sync.join().unwrap();
-        assert_eq!(outcome, Backpressure::Accepted);
-        assert_eq!(b.undelivered(), 0);
-
-        b.set_mode(m, Mode::Hybrid(Nanos::from_millis(1)));
-        let (park_rx, _filler) = stall();
-        let (returned, hybrid) = try_observe_on_a_thread(p, event(2));
-        let waited = returned.recv_timeout(Duration::from_secs(10)).expect("a bounded wait");
-        assert!(waited >= Duration::from_millis(1), "Hybrid(1 ms) waited only {waited:?}");
-        assert_eq!(hybrid.join().unwrap().0, Backpressure::Accepted);
-        assert_eq!(b.undelivered(), 1, "detached, not delivered: the worker is still parked");
-        assert_eq!(park_rx.recv().unwrap(), None);
-        assert_eq!(b.stats().total_events(), 2, "the detached event is still delivered");
-        b.shutdown();
-    }
-
-    #[test]
-    fn quiesce_makes_async_ingestion_lossless() {
-        let (spec, al) = allocator_spec();
-        let b = queued(Mode::Async, 4);
-        for id in 0..8 {
-            b.register_empty(MonitorId::new(id), Arc::clone(&spec), Nanos::ZERO);
-        }
-        let mut p = b.producer();
-        let total = 10_000u64;
-        for seq in 1..=total {
-            let m = MonitorId::new((seq % 8) as u32);
-            p.observe(Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, false));
-        }
-        p.flush();
-        assert_eq!(b.undelivered(), 0);
-        assert_eq!(b.stats().total_events(), total, "no event may be lost in flight");
-        b.shutdown();
-    }
-
-    /// `with_batch` sets the one batch value, which the drain threads
-    /// read on every take. (It used to set only the size of buffered
-    /// handles, which a queued core never creates: the drain threads
-    /// kept the default of 64 whatever the caller asked for.)
-    #[test]
-    fn with_batch_sets_the_drain_threads_take_size() {
-        let (spec, al) = allocator_spec();
-        let cfg = DetectorConfig { mode: Mode::Async, ..cfg() };
-        let b = AsyncBackend::new(cfg, ServiceConfig::new(1).queue_capacity(1)).with_batch(7);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        // Stall the shard: park its worker, then fill its one-deep
-        // inbox, so the drain thread blocks handing over the first
-        // event and the next 70 pile up in the queue behind it.
-        let park_rx = park_worker(&b, 0, m, al.request);
-        let (filler, _filler_rx) = bounded(1);
-        b.shared.senders[0].send(ShardMsg::Flush { reply: filler }).unwrap();
-        let mut p = b.producer();
-        let event =
-            |seq: u64| Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, false);
-        assert_eq!(p.try_observe(event(1)), Backpressure::Accepted);
-        let delivery = b.shared.delivery.as_ref().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !lock(&delivery.queues[0].state).items.is_empty() {
-            assert!(Instant::now() < deadline, "the drain thread never took the first event");
-            thread::yield_now();
-        }
-        for seq in 2..=71 {
-            assert_eq!(p.try_observe(event(seq)), Backpressure::Accepted);
-        }
-        assert_eq!(b.undelivered(), 71);
-        assert_eq!(park_rx.recv().unwrap(), None); // release the worker
-        let stats = b.stats();
-        assert_eq!(stats.total_events(), 71);
-        assert_eq!(stats.total_batches(), 1 + 10, "70 queued events leave in takes of 7");
-        b.shutdown();
     }
 
     #[test]
@@ -2459,7 +2002,7 @@ mod tests {
     #[test]
     fn only_set_mode_moves_a_mode() {
         let (spec, al) = allocator_spec();
-        let b = queued(Mode::Sync, 2);
+        let b = async_core(Mode::Sync, 2);
         let m = MonitorId::new(0);
         b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
         b.set_mode(m, Mode::Async);
@@ -2478,7 +2021,7 @@ mod tests {
     #[test]
     fn set_mode_overrides_and_instrumentation_mode_reflects_it() {
         let (spec, _) = allocator_spec();
-        let b = queued(Mode::Async, 1);
+        let b = async_core(Mode::Async, 1);
         let m = MonitorId::new(0);
         b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
         let hybrid = Mode::Hybrid(Nanos::from_millis(2));
@@ -2486,39 +2029,6 @@ mod tests {
         assert_eq!(b.instrumentation_mode(m), hybrid);
         // Unregistered monitors answer the configured mode.
         assert_eq!(b.instrumentation_mode(MonitorId::new(9)), Mode::Async);
-        b.shutdown();
-    }
-
-    #[test]
-    fn shutdown_delivers_queued_events_then_drops_later_ones() {
-        let (spec, al) = allocator_spec();
-        let b = queued(Mode::Async, 2);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        let mut p = b.producer();
-        p.observe(Event::enter(1, Nanos::new(10), m, Pid::new(1), al.request, true));
-        b.shutdown();
-        assert!(p.is_closed());
-        assert_eq!(b.stats().total_events(), 1, "the queued event was handed over first");
-        p.observe(Event::enter(2, Nanos::new(20), m, Pid::new(1), al.request, false));
-        assert_eq!(b.undelivered(), 0, "post-shutdown observes are dropped, not queued");
-    }
-
-    #[test]
-    fn hybrid_timeout_detaches_but_still_delivers() {
-        let (spec, al) = allocator_spec();
-        // Hybrid with a zero timeout: every wait detaches immediately —
-        // the degenerate case closest to Async — yet delivery and
-        // detection remain complete.
-        let b = queued(Mode::Hybrid(Nanos::ZERO), 1);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        let mut p = b.producer();
-        for seq in 1..=100 {
-            p.observe(Event::enter(seq, Nanos::new(seq * 10), m, Pid::new(1), al.request, false));
-        }
-        p.flush();
-        assert_eq!(b.stats().total_events(), 100);
         b.shutdown();
     }
 }

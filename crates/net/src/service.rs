@@ -198,15 +198,6 @@ impl SnapshotProvider for FleetCache {
             .map(|(state, _)| state.clone())
     }
 
-    fn snapshot_all(&self, _now: Nanos) -> HashMap<MonitorId, MonitorState> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(m, (state, _))| (*m, state.clone()))
-            .collect()
-    }
-
     fn events_recorded(&self, monitor: MonitorId) -> Option<u64> {
         self.inner
             .lock()

@@ -19,9 +19,7 @@
 //! backend and set by its owner): on a buffered handle, Sync uses
 //! [`ProducerHandle::try_observe`] with a bounded yield-retry before it
 //! ever blocks on a full shard inbox, Async fires one `try_observe`
-//! and detaches, Hybrid bounds the retry by a wall-clock budget; a
-//! queued handle's `try_observe` waits on the event's delivery ticket
-//! for as long as the mode says — see
+//! and detaches, Hybrid bounds the retry by a wall-clock budget — see
 //! `crate::runtime::RtInner::record_observe`. One thread =
 //! one [`Pid`] = one segment = one handle is also what upholds the
 //! backends' per-caller ordering precondition (see

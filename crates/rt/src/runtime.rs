@@ -315,11 +315,10 @@ impl RtInner {
     /// [`DetectionBackend::instrumentation_mode`] (so the owner of a
     /// mode-aware backend like
     /// [`AsyncBackend`](rmon_core::detect::AsyncBackend) can retune a
-    /// monitor at run time). The branches below are for buffered
-    /// handles; a queued handle never reports backpressure, and its
-    /// `try_observe` itself waits on the event's delivery ticket as
-    /// long as the mode says (until delivery for Sync, up to `t` for
-    /// Hybrid):
+    /// monitor at run time). This is the one place a mode turns into
+    /// waiting: a handle never waits on anything but a full inbox,
+    /// which it reports as
+    /// [`Backpressure::Full`](rmon_core::detect::Backpressure::Full):
     ///
     /// * [`Mode::Sync`] (the default; every non-mode-aware backend) —
     ///   non-blocking first: the handle's
@@ -622,11 +621,6 @@ impl SnapshotProvider for RuntimeSnapshotProvider {
         let inner = self.inner.upgrade()?;
         let core = inner.find_monitor(monitor)?;
         Some(core.snapshot_queues())
-    }
-
-    fn snapshot_all(&self, _now: Nanos) -> HashMap<MonitorId, MonitorState> {
-        let Some(inner) = self.inner.upgrade() else { return HashMap::new() };
-        inner.live_monitors().iter().map(|core| (core.id(), core.snapshot_queues())).collect()
     }
 
     fn events_recorded(&self, monitor: MonitorId) -> Option<u64> {
@@ -974,7 +968,10 @@ impl RuntimeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmon_core::detect::{ScheduledBackend, SchedulerConfig, ServiceConfig, ShardedBackend};
+    use rmon_core::detect::{
+        Backpressure, ScheduledBackend, SchedulerConfig, ServiceConfig, ShardedBackend,
+    };
+    use rmon_core::MonitorSpec;
 
     #[test]
     fn runtime_defaults() {
@@ -1139,6 +1136,141 @@ mod tests {
             assert_eq!(rt.service_stats().total_events(), 32, "{mode:?}");
             assert_eq!(verdicts(&rt), want, "{mode:?} must match the sharded reference");
         }
+    }
+
+    /// What a [`FullHandle`] was asked to do.
+    #[derive(Debug, Default)]
+    struct HandleCalls {
+        try_observe: AtomicU32,
+        try_flush: AtomicU32,
+        flush: AtomicU32,
+    }
+
+    impl HandleCalls {
+        fn read(&self) -> [u32; 3] {
+            [&self.try_observe, &self.try_flush, &self.flush].map(|n| n.load(Ordering::Relaxed))
+        }
+    }
+
+    /// A handle whose inbox is always full: every non-blocking call
+    /// reports `Full`, and `flush` returns as if it had blocked until
+    /// the inbox took the batch.
+    #[derive(Debug)]
+    struct FullHandle(Arc<HandleCalls>);
+
+    impl rmon_core::detect::ProducerHandle for FullHandle {
+        fn observe(&mut self, _event: Event) {
+            unreachable!("the record path hands events over through try_observe");
+        }
+
+        fn flush(&mut self) {
+            self.0.flush.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn try_observe(&mut self, _event: Event) -> Backpressure {
+            self.0.try_observe.fetch_add(1, Ordering::Relaxed);
+            Backpressure::Full
+        }
+
+        fn try_flush(&mut self) -> Backpressure {
+            self.0.try_flush.fetch_add(1, Ordering::Relaxed);
+            Backpressure::Full
+        }
+
+        fn pending(&self) -> usize {
+            0
+        }
+
+        fn is_closed(&self) -> bool {
+            false
+        }
+    }
+
+    /// A backend that checks nothing: it answers one mode for every
+    /// monitor and hands out [`FullHandle`]s.
+    #[derive(Debug)]
+    struct FullBackend {
+        mode: Mode,
+        calls: Arc<HandleCalls>,
+    }
+
+    impl DetectionBackend for FullBackend {
+        fn register(&self, _: MonitorId, _: Arc<MonitorSpec>, _: &MonitorState, _: Nanos) {}
+
+        fn producer(&self) -> Box<dyn rmon_core::detect::ProducerHandle> {
+            Box::new(FullHandle(Arc::clone(&self.calls)))
+        }
+
+        fn call_would_violate(&self, _: MonitorId, _: Pid, _: ProcName) -> Option<RuleId> {
+            None
+        }
+
+        fn set_snapshot_provider(&self, _: Arc<dyn SnapshotProvider>) {}
+
+        fn checkpoint(&self, _: CheckpointScope, _: Nanos) -> FaultReport {
+            FaultReport::default()
+        }
+
+        fn checkpoint_window(
+            &self,
+            _: Nanos,
+            _: &[Event],
+            _: &HashMap<MonitorId, MonitorState>,
+        ) -> FaultReport {
+            FaultReport::default()
+        }
+
+        fn stats(&self) -> ServiceStats {
+            ServiceStats { shards: Vec::new() }
+        }
+
+        fn drain_violations(&self) -> Vec<Violation> {
+            Vec::new()
+        }
+
+        fn shutdown(&self) {}
+
+        fn label(&self) -> &'static str {
+            "full"
+        }
+
+        fn instrumentation_mode(&self, _: MonitorId) -> Mode {
+            self.mode
+        }
+    }
+
+    /// The record path is the one place a mode turns into waiting.
+    /// Against an inbox that never takes a batch, one allocator request
+    /// (its events stream, the allocator has order concerns) shows each
+    /// mode's loop per event: Sync tries once, retries 8 times and then
+    /// blocks in `flush`; Hybrid(t) retries for at least `t` and never
+    /// blocks; Async tries once.
+    #[test]
+    fn record_path_applies_each_mode_to_a_full_inbox() {
+        let drive = |mode: Mode| {
+            let calls = Arc::new(HandleCalls::default());
+            let backend = Arc::new(FullBackend { mode, calls: Arc::clone(&calls) });
+            let rt = Runtime::builder(DetectorConfig::without_timeouts()).backend(backend).build();
+            let al = crate::ResourceAllocator::new(&rt, "res", 1);
+            let start = Instant::now();
+            al.request().unwrap();
+            (calls.read(), start.elapsed())
+        };
+
+        // Enter + Signal-Exit: two streamed events per request.
+        let ([observes, retries, flushes], _) = drive(Mode::Sync);
+        assert_eq!(observes, 2);
+        assert_eq!([retries, flushes], [8 * observes, observes], "Sync: 8 retries, then a flush");
+
+        let bound = Duration::from_millis(5);
+        let ([observes, retries, flushes], took) = drive(Mode::Hybrid(Nanos::from(bound)));
+        assert_eq!(observes, 2);
+        assert!(retries >= observes, "Hybrid retries until its bound: {retries}");
+        assert_eq!(flushes, 0, "Hybrid never blocks");
+        assert!(took >= bound, "Hybrid({bound:?}) returned after {took:?}");
+
+        let (calls, _) = drive(Mode::Async);
+        assert_eq!(calls, [2, 0, 0], "Async: one try_observe per event and nothing else");
     }
 
     fn scheduled_rt(shards: usize, batch: usize) -> Runtime {

@@ -25,9 +25,9 @@
 //!   N `rmon-net` workers streaming one [`sweep::FleetTrace`] into a
 //!   single detection service, optionally through the fault-injecting
 //!   harness;
-//! * [`saturation`] — thousands of concurrent producer threads against
-//!   one backend: the stress harness comparing synchronous and
-//!   asynchronous instrumentation modes.
+//! * [`saturation`] — many concurrent producer threads against one
+//!   backend: a lossless stress of the multi-producer ingestion
+//!   front-end.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,18 +1,15 @@
-//! Saturation workload: **thousands of concurrent producer threads**
-//! against one detection backend — the stress shape the asynchronous
-//! instrumentation modes exist for.
+//! Saturation workload: **many concurrent producer threads** against
+//! one detection backend — a lossless stress of the multi-producer
+//! ingestion front-end.
 //!
 //! Every producer thread owns one single-unit allocator monitor and
 //! streams a clean request/release loop through its own
-//! [`ProducerHandle`](rmon_core::detect::ProducerHandle) — the
-//! multi-producer ingestion front-end at a scale where the *blocking*
-//! hand-off itself becomes the bottleneck: with bounded shard inboxes
-//! and far more producers than shard workers, synchronous
-//! ([`Mode::Sync`](rmon_core::Mode)) ingestion parks monitored threads
-//! on full inboxes, while an asynchronous backend
-//! ([`rmon_core::detect::AsyncBackend`] in `Mode::Async`) absorbs the
-//! burst into its unbounded per-shard queues and lets every producer
-//! detach immediately.
+//! [`ProducerHandle`](rmon_core::detect::ProducerHandle), with far more
+//! producers than shard workers, so handles meet full bounded inboxes
+//! and block in their hand-offs. Every backend flavour takes the same
+//! path here: the handles are the same buffered handles whatever the
+//! monitor's [`Mode`](rmon_core::Mode), which only an embedding
+//! runtime's record path applies.
 //!
 //! The report separates the two costs the paper's overhead evaluation
 //! cares about: the **producer-side** wall time (what instrumentation
@@ -64,10 +61,9 @@ pub struct SaturationReport {
     /// worst case of what instrumentation charged a monitored thread's
     /// event path. The closing `flush()` is thread teardown, not a
     /// per-event charge, and is excluded here (it still counts toward
-    /// [`SaturationReport::ingest`]). A synchronous backend's blocking
-    /// hand-off happens *inside* `observe` whenever a filled batch
-    /// meets a full shard inbox, so this is where the sync stall
-    /// surfaces.
+    /// [`SaturationReport::ingest`]). The blocking hand-off happens
+    /// *inside* `observe` whenever a filled batch meets a full shard
+    /// inbox, so this is where a stall surfaces.
     pub slowest_producer: Duration,
     /// Ingest plus the closing checkpoint barrier — until every
     /// verdict is in.
@@ -119,9 +115,8 @@ fn producer_stream(i: usize, rounds: usize) -> (MonitorId, Arc<MonitorSpec>, Vec
 /// joins, then closes with a [`CheckpointScope::All`] barrier and the
 /// violation drain.
 ///
-/// The backend decides what "observe" costs: a synchronous backend
-/// blocks producers on full inboxes, an asynchronous one detaches them
-/// — this one driver is the comparison harness for both.
+/// The backend decides what "observe" costs: a producer whose filled
+/// batch meets a full shard inbox blocks until the shard takes it.
 pub fn run_saturation(backend: &dyn DetectionBackend, cfg: &SaturationConfig) -> SaturationReport {
     let producers = cfg.producers.max(1);
     let rounds = cfg.rounds.max(1);
@@ -144,9 +139,8 @@ pub fn run_saturation(backend: &dyn DetectionBackend, cfg: &SaturationConfig) ->
                     producer.observe(*event);
                 }
                 // Time the observe loop only: the flush below is
-                // teardown, and for an async handle it may wait on the
-                // backend-global queue drain — a cost the monitored
-                // thread's event path never pays.
+                // teardown, a cost the monitored thread's event path
+                // never pays.
                 let took = p0.elapsed();
                 producer.flush();
                 let mut max = slowest.lock().unwrap_or_else(|p| p.into_inner());
