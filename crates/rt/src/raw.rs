@@ -110,7 +110,11 @@ pub struct RawCore {
     /// ([`rmon_core::detect::SnapshotProvider::events_recorded`]): an
     /// unchanged count bracketing a [`Self::snapshot_queues`] read
     /// proves the observation is consistent with exactly that many
-    /// recorded events.
+    /// recorded events. Every recording holds the state lock, so there
+    /// is one writer at a time and the increment is a plain load plus
+    /// a release store, not a read-modify-write; the lock orders
+    /// successive writers, and readers (the gate, without the lock)
+    /// pair the release store with an acquire load.
     recorded: AtomicU64,
 }
 
@@ -154,7 +158,9 @@ impl RawCore {
     #[inline]
     fn observe(&self, pid: Pid, proc_name: ProcName, kind: EventKind) {
         self.rt.record_observe(self.id, pid, proc_name, kind, self.needs_order);
-        self.recorded.fetch_add(1, Ordering::Release);
+        // One writer at a time (the state lock), so no RMW is needed.
+        let recorded = self.recorded.load(Ordering::Relaxed);
+        self.recorded.store(recorded + 1, Ordering::Release);
     }
 
     /// Events recorded for this monitor so far (see the `recorded`

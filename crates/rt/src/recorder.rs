@@ -16,19 +16,25 @@
 //!   published to the drain side with release/acquire stores on each
 //!   chunk's length (the classic single-producer publication protocol
 //!   of low-overhead tracers);
+//! * a chunk slot holds a 32-byte [`Stamp`] — every field of an
+//!   [`Event`] but its 36-byte happens-before clock. A recorder built
+//!   with [`Recorder::with_clocks`] gives each chunk a parallel *clock
+//!   lane* for those clocks; every other recorder allocates none, so an
+//!   event in flight costs 32 bytes until its window is merged;
 //! * a window leaves the recorder in two steps. [`Recorder::hand_over`]
 //!   is the part that must run while the monitors are suspended and is
 //!   O(chunks), not O(events): full chunks are unlinked from their
 //!   segment, the partially filled current chunk contributes the range
 //!   of slots published so far, and a [`Handover`] holds the lot.
 //!   [`Handover::merge_into`] then k-way merges the per-thread streams
-//!   by `seq` ([`rmon_core::event::merge_runs_by_seq`]) straight from
-//!   the chunk slots into a buffer the caller keeps — every segment is
-//!   internally sorted by construction, so the checkpoint checkers get
-//!   the same globally-ordered window the locked recorder produced —
-//!   and needs no lock at all: the slots it reads were final before
-//!   the hand-over returned. [`Recorder::drain_window`] is the two
-//!   steps back to back.
+//!   by `seq` straight from the chunk slots into a buffer the caller
+//!   keeps, rebuilding each full [`Event`] from its stamp and, if there
+//!   is a clock lane, its clock — every segment is internally sorted by
+//!   construction, so the checkpoint checkers get the same
+//!   globally-ordered window the locked recorder produced — and needs
+//!   no lock at all: the slots it reads were final before the hand-over
+//!   returned. [`Recorder::drain_window`] is the two steps back to
+//!   back.
 //!
 //! Within one thread, events still appear in exactly the order their
 //! sequence numbers were drawn, so the per-pid FIFO precondition of the
@@ -38,7 +44,6 @@
 //! shared staging buffer (see `rmon_rt::registry`).
 
 use parking_lot::Mutex;
-use rmon_core::event::merge_runs_by_seq;
 use rmon_core::{Event, EventKind, MonitorId, Nanos, Pid, ProcName, VClock};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::HashMap;
@@ -58,16 +63,48 @@ const CHUNK_EVENTS: usize = 1024;
 /// without mixing their streams.
 static NEXT_RECORDER_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// One fixed-capacity chunk of a thread segment.
+/// An event as a chunk slot holds it: every field of [`Event`] but the
+/// happens-before clock, which lives in the chunk's clock lane when the
+/// recorder keeps clocks at all. 32 bytes against the event's 72.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    seq: u64,
+    time: Nanos,
+    monitor: MonitorId,
+    pid: Pid,
+    proc_name: ProcName,
+    kind: EventKind,
+}
+
+impl Stamp {
+    /// The full event: this stamp with `vc` as its clock.
+    #[inline(always)]
+    fn event(self, vc: VClock) -> Event {
+        let Stamp { seq, time, monitor, pid, proc_name, kind } = self;
+        Event { seq, time, monitor, pid, proc_name, kind, vc }
+    }
+}
+
+/// `CHUNK_EVENTS` uninitialized slots of one lane.
+fn lane<T>() -> Box<[UnsafeCell<MaybeUninit<T>>]> {
+    (0..CHUNK_EVENTS).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect()
+}
+
+/// One fixed-capacity chunk of a thread segment: a lane of stamps and,
+/// in a clocked recorder's chunks, a parallel lane of clocks (slot `i`
+/// of each describes the same event).
 ///
 /// Single-producer publication: only the owning thread writes slots and
 /// stores `len` (release); a hand-over loads `len` (acquire) and fixes
 /// a range of slots below it, which its [`Handover`] reads afterwards.
-/// Slots below a published `len` are never written again, so the
-/// acquire load makes them safely readable for as long as the chunk
-/// lives.
+/// Slots below a published `len` — in both lanes — are never written
+/// again, so the acquire load makes them safely readable for as long
+/// as the chunk lives.
 struct Chunk {
-    slots: Box<[UnsafeCell<MaybeUninit<Event>>]>,
+    stamps: Box<[UnsafeCell<MaybeUninit<Stamp>>]>,
+    /// The clock lane, present exactly when the recorder was built
+    /// [`Recorder::with_clocks`]; a chunk never gains or loses it.
+    clocks: Option<Box<[UnsafeCell<MaybeUninit<VClock>>]>>,
     /// Published element count. Writer-only store (release).
     len: AtomicUsize,
     /// Elements already handed over. Touched by hand-overs only, which
@@ -76,29 +113,30 @@ struct Chunk {
 }
 
 // SAFETY: the only `UnsafeCell` access paths are `ThreadSegment::push`
-// (the single writer thread, the slot at index `len`) and
-// `ChunkRange::events` (any thread holding a `Handover`, slots
-// `[start, end)` with `end` at most a `len` that `Chunk::hand_over`
+// (the single writer thread, slot `len` of the stamp lane and, if the
+// chunk has one, of the clock lane) and `ChunkRange::{stamps, clocks}`
+// (any thread holding a `Handover`, slots `[start, end)` of the same
+// lanes with `end` at most a `len` that `Chunk::hand_over`
 // acquire-loaded under the registry lock — the reads themselves happen
 // *outside* that lock, possibly while the writer pushes on into the
-// same chunk). Writer and readers never touch the same slot: `len`
-// only grows, the writer only ever writes the slot at the current
-// `len`, and a slot becomes reader-visible only through the release
-// store that moves `len` past it — after which the writer never
-// touches it again. A `Handover` crossing threads is an ordinary
-// `Send` move, so whatever carries it orders the acquire load before
-// the reads. `len` and `taken` are atomics; `slots` is never resized.
+// same chunk). Writer and readers never touch the same slot of either
+// lane: `len` only grows, the writer only ever writes the slots at the
+// current `len`, both before the release store that moves `len` past
+// them — so that one store publishes the stamp and its clock together
+// — and never touches them again. A `Handover` crossing threads is an
+// ordinary `Send` move, so whatever carries it orders the acquire load
+// before the reads. `len` and `taken` are atomics; the lanes are never
+// resized, and whether a chunk has a clock lane is fixed at creation.
 unsafe impl Sync for Chunk {}
-// SAFETY: `Event` is plain `Copy` data with no thread affinity, and a
-// chunk owns its slots.
+// SAFETY: `Stamp` and `VClock` are plain `Copy` data with no thread
+// affinity, and a chunk owns its lanes.
 unsafe impl Send for Chunk {}
 
 impl Chunk {
-    fn new() -> Self {
-        let mut slots = Vec::with_capacity(CHUNK_EVENTS);
-        slots.resize_with(CHUNK_EVENTS, || UnsafeCell::new(MaybeUninit::uninit()));
+    fn new(clocked: bool) -> Self {
         Chunk {
-            slots: slots.into_boxed_slice(),
+            stamps: lane(),
+            clocks: clocked.then(lane),
             len: AtomicUsize::new(0),
             taken: AtomicUsize::new(0),
         }
@@ -133,17 +171,48 @@ struct ChunkRange {
     end: usize,
 }
 
+/// A shared slice over slots `[start, end)` of one lane.
+///
+/// # Safety
+///
+/// Every slot in the range must be initialized and never written again
+/// while the returned slice lives.
+unsafe fn published<T>(lane: &[UnsafeCell<MaybeUninit<T>>], start: usize, end: usize) -> &[T] {
+    let slots = &lane[start..end];
+    // SAFETY: initialized and final per the caller; `UnsafeCell` and
+    // `MaybeUninit` are both `repr(transparent)`, so the slots are laid
+    // out as `T`s.
+    unsafe { std::slice::from_raw_parts(slots.as_ptr().cast::<T>(), slots.len()) }
+}
+
 impl ChunkRange {
-    fn events(&self) -> &[Event] {
-        let slots = &self.chunk.slots[self.start..self.end];
+    fn stamps(&self) -> &[Stamp] {
         // SAFETY: every slot below the acquire-loaded `len` this range
         // was cut from is initialized and never written again (see the
         // `Sync` argument on `Chunk`), so a shared slice over them is
         // valid for as long as `self` keeps the chunk alive — also
         // while the writer fills slots at or above `end`, which this
-        // slice does not cover. `UnsafeCell` and `MaybeUninit` are both
-        // `repr(transparent)`, so the slots are laid out as `Event`s.
-        unsafe { std::slice::from_raw_parts(slots.as_ptr().cast::<Event>(), slots.len()) }
+        // slice does not cover.
+        unsafe { published(&self.chunk.stamps, self.start, self.end) }
+    }
+
+    /// The clocks of [`Self::stamps`], slot for slot, if the chunk has
+    /// a clock lane.
+    fn clocks(&self) -> Option<&[VClock]> {
+        let lane = self.chunk.clocks.as_deref()?;
+        // SAFETY: as for `stamps`: `push` writes a clock-lane slot
+        // before the same release store of `len` that publishes its
+        // stamp.
+        Some(unsafe { published(lane, self.start, self.end) })
+    }
+
+    /// Appends the range's events to `out` in stream order.
+    fn append_to(&self, out: &mut Vec<Event>) {
+        let stamps = self.stamps();
+        match self.clocks() {
+            None => out.extend(stamps.iter().map(|s| s.event(VClock::UNSET))),
+            Some(clocks) => out.extend(stamps.iter().zip(clocks).map(|(s, vc)| s.event(*vc))),
+        }
     }
 }
 
@@ -152,6 +221,7 @@ impl std::fmt::Debug for Chunk {
         f.debug_struct("Chunk")
             .field("len", &self.len.load(Ordering::Relaxed))
             .field("taken", &self.taken.load(Ordering::Relaxed))
+            .field("clocked", &self.clocks.is_some())
             .finish()
     }
 }
@@ -215,27 +285,34 @@ pub(crate) struct ThreadSegment {
 }
 
 impl ThreadSegment {
-    /// Appends one event to this thread's stream.
+    /// Appends one event to this thread's stream: `stamp`, and `vc`
+    /// into the clock lane if the segment's chunks have one.
     #[inline(always)]
-    pub(crate) fn push(&mut self, event: Event) {
+    fn push(&mut self, stamp: Stamp, vc: VClock) {
         if self.cursor == CHUNK_EVENTS {
             self.roll_over();
         }
         let i = self.cursor;
-        // SAFETY: `i < CHUNK_EVENTS` (checked above), the slot is at or
-        // above the published `len`, so no reader looks at it yet, and
-        // `&mut self` plus the thread-local handout make this the
-        // single writer thread (see the `Sync` justification on
-        // `Chunk`).
-        unsafe { (*self.current.slots.get_unchecked(i).get()).write(event) };
+        // SAFETY: `i < CHUNK_EVENTS` (checked above) bounds both lanes,
+        // the slots are at or above the published `len`, so no reader
+        // looks at them yet, and `&mut self` plus the thread-local
+        // handout make this the single writer thread (see the `Sync`
+        // justification on `Chunk`).
+        unsafe {
+            (*self.current.stamps.get_unchecked(i).get()).write(stamp);
+            if let Some(clocks) = &self.current.clocks {
+                (*clocks.get_unchecked(i).get()).write(vc);
+            }
+        }
         self.cursor = i + 1;
         self.current.len.store(i + 1, Ordering::Release);
     }
 
-    /// Starts a fresh chunk (once per [`CHUNK_EVENTS`] pushes).
+    /// Starts a fresh chunk (once per [`CHUNK_EVENTS`] pushes), with a
+    /// clock lane iff the segment's chunks have one.
     #[cold]
     fn roll_over(&mut self) {
-        let fresh = Arc::new(Chunk::new());
+        let fresh = Arc::new(Chunk::new(self.current.clocks.is_some()));
         self.shared.chunks.lock().push(Arc::clone(&fresh));
         self.current = fresh;
         self.cursor = 0;
@@ -267,21 +344,33 @@ struct RecShared {
 /// locks are gone. On x86_64 the clock therefore self-calibrates to
 /// the TSC: early reads go through `Instant` while accumulating a
 /// calibration baseline; once [`CALIBRATION_WINDOW`] has elapsed, the
-/// measured tick rate is frozen and subsequent reads are one `rdtsc`
-/// plus a multiply. The calibrating read returns its `Instant` value
-/// and every later read is computed from a strictly larger tick count
-/// at the frozen rate, so the switch never steps backwards; rate error
-/// is bounded by the clock-read jitter over the calibration window
-/// (sub-ppm at 10 ms). Timer rules compare event stamps against
-/// checkpoint times from this same clock, so a bounded rate error
-/// cancels out of every age computation.
+/// first read after it freezes the measured rate as a 32.32
+/// fixed-point ns-per-tick multiplier, and every later read is one
+/// `rdtsc`, a relaxed load of the multiplier (a plain load on x86_64),
+/// one 64×64→128-bit multiply and a shift — no floating point.
+///
+/// The rate is frozen once (a racing calibrator never replaces it,
+/// which could step a reader back) and rounded *up*: the calibrating
+/// read returns its `Instant` value `e` at tick count `t`, and every
+/// later read sees at least `t` ticks, so it reads at least
+/// `t · ⌈e·2³²/t⌉ / 2³² ≥ e` — the switch never steps backwards. Both
+/// `Instant`–TSC pairings (at creation and at calibration) are
+/// bracketed by two `rdtsc`s and taken at the bracket's midpoint; a
+/// calibrating read whose bracket is wider than a ten-thousandth of
+/// the ticks since creation (a preemption between the two clock
+/// reads) is skipped and the next read tries again, so the rate error
+/// is bounded by the bracket width over the calibration window — a few
+/// ppm on a quiet host, never more than 100. Timer rules compare event
+/// stamps against checkpoint times from this same clock, so a bounded
+/// rate error cancels out of every age computation.
 #[derive(Debug)]
 struct FastClock {
     origin: Instant,
-    /// Frozen ns-per-tick rate as `f64` bits; `0` while uncalibrated.
+    /// Frozen ns-per-tick rate in 32.32 fixed point, rounded up; `0`
+    /// while uncalibrated.
     #[cfg(target_arch = "x86_64")]
-    rate_bits: AtomicU64,
-    /// TSC reading taken at `origin`.
+    mult: AtomicU64,
+    /// TSC reading paired with `origin`.
     #[cfg(target_arch = "x86_64")]
     origin_ticks: u64,
     /// Whether the TSC is invariant (see [`tsc_is_invariant`]);
@@ -314,17 +403,35 @@ fn rdtsc() -> u64 {
     unsafe { std::arch::x86_64::_rdtsc() }
 }
 
+/// One `Instant` read bracketed by two TSC reads: the instant, the
+/// bracket's midpoint tick and its width in ticks.
+#[cfg(target_arch = "x86_64")]
+fn paired_read() -> (Instant, u64, u64) {
+    let before = rdtsc();
+    let now = Instant::now();
+    let after = rdtsc().max(before);
+    (now, before + (after - before) / 2, after - before)
+}
+
 impl FastClock {
     fn new() -> Self {
-        FastClock {
-            origin: Instant::now(),
-            #[cfg(target_arch = "x86_64")]
-            rate_bits: AtomicU64::new(0),
-            #[cfg(target_arch = "x86_64")]
-            origin_ticks: rdtsc(),
-            #[cfg(target_arch = "x86_64")]
-            tsc_usable: tsc_is_invariant(),
+        #[cfg(target_arch = "x86_64")]
+        {
+            // The narrowest of a few brackets: one preempted pairing
+            // would skew the origin by the length of the preemption.
+            let (origin, origin_ticks, _) = (0..4)
+                .map(|_| paired_read())
+                .min_by_key(|&(_, _, width)| width)
+                .expect("four pairings");
+            FastClock {
+                origin,
+                mult: AtomicU64::new(0),
+                origin_ticks,
+                tsc_usable: tsc_is_invariant(),
+            }
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        FastClock { origin: Instant::now() }
     }
 
     /// Nanoseconds since the clock was created (see the type docs).
@@ -332,10 +439,10 @@ impl FastClock {
     fn now(&self) -> Nanos {
         #[cfg(target_arch = "x86_64")]
         {
-            let bits = self.rate_bits.load(Ordering::Relaxed);
-            if bits != 0 {
+            let mult = self.mult.load(Ordering::Relaxed);
+            if mult != 0 {
                 let ticks = rdtsc().saturating_sub(self.origin_ticks);
-                Nanos::new((ticks as f64 * f64::from_bits(bits)) as u64)
+                Nanos::new(((ticks as u128 * mult as u128) >> 32) as u64)
             } else {
                 self.calibrating_now()
             }
@@ -345,19 +452,24 @@ impl FastClock {
     }
 
     /// The pre-calibration slow path: answers from `Instant` and, once
-    /// the window has elapsed with a usable tick delta, freezes the
-    /// rate.
+    /// the window has elapsed with a tight pairing, freezes the rate.
     #[cfg(target_arch = "x86_64")]
     #[cold]
     fn calibrating_now(&self) -> Nanos {
-        let elapsed = self.origin.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let ticks = rdtsc().saturating_sub(self.origin_ticks);
-        if self.tsc_usable && elapsed >= CALIBRATION_WINDOW && ticks > 0 {
-            let rate = elapsed as f64 / ticks as f64;
-            if rate.is_finite() && rate > 0.0 {
-                // A racing calibrator computed an equally valid rate;
-                // either store wins.
-                self.rate_bits.store(rate.to_bits(), Ordering::Relaxed);
+        let (now, mid, width) = paired_read();
+        let elapsed = now.duration_since(self.origin).as_nanos().min(u64::MAX as u128) as u64;
+        let ticks = mid.saturating_sub(self.origin_ticks);
+        if self.tsc_usable
+            && elapsed >= CALIBRATION_WINDOW
+            && ticks > 0
+            && width.saturating_mul(10_000) <= ticks
+        {
+            // Rounded up (see the type docs); a multiplier that does
+            // not fit leaves the clock on `Instant`.
+            let mult = ((elapsed as u128) << 32).div_ceil(ticks as u128);
+            if let Ok(mult) = u64::try_from(mult) {
+                // The first frozen rate stays.
+                let _ = self.mult.compare_exchange(0, mult, Ordering::Relaxed, Ordering::Relaxed);
             }
         }
         Nanos::new(elapsed)
@@ -380,7 +492,8 @@ pub struct Recorder {
     /// Happens-before clock table, present only when the recorder was
     /// built with [`Recorder::with_clocks`] (the predictive-detection
     /// opt-in). `None` keeps the hot path exactly as lock-free as
-    /// before — [`Recorder::record_on`] never touches a lock then.
+    /// before — [`Recorder::record_on`] never touches a lock then —
+    /// and the chunks without a clock lane.
     vclocks: Option<Mutex<ClockTable>>,
 }
 
@@ -425,8 +538,9 @@ impl Recorder {
     ///
     /// Clocked recording serializes the merge/tick/publish dance (and
     /// the sequence draw) through one mutex, trading the lock-free hot
-    /// path for annotated events; that is why it is a constructor-time
-    /// opt-in rather than a default.
+    /// path for annotated events, and gives every chunk a clock lane
+    /// (36 more bytes per event in flight); that is why it is a
+    /// constructor-time opt-in rather than a default.
     pub fn with_clocks() -> Self {
         Recorder { vclocks: Some(Mutex::new(ClockTable::default())), ..Self::new() }
     }
@@ -444,25 +558,16 @@ impl Recorder {
     }
 
     /// Stamps an event with the current time and the next global
-    /// sequence number — the lock-free half of [`Recorder::record`],
-    /// for callers (the runtime) that append to a [`ThreadSegment`]
-    /// they already hold.
+    /// sequence number — the lock-free half of [`Recorder::record_on`].
     #[inline(always)]
-    pub(crate) fn stamp(
-        &self,
-        monitor: MonitorId,
-        pid: Pid,
-        proc_name: ProcName,
-        kind: EventKind,
-    ) -> Event {
-        Event {
+    fn stamp(&self, monitor: MonitorId, pid: Pid, proc_name: ProcName, kind: EventKind) -> Stamp {
+        Stamp {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
             time: self.now(),
             monitor,
             pid,
             proc_name,
             kind,
-            vc: VClock::UNSET,
         }
     }
 
@@ -477,7 +582,8 @@ impl Recorder {
     /// the thread clock, stamp, publish the thread clock to the monitor
     /// on releasing events (`Wait` / `Signal-Exit` / `Terminate`), and
     /// draw `seq` — inside the lock, so happens-before edges always
-    /// point at smaller sequence numbers.
+    /// point at smaller sequence numbers. The clock goes into the
+    /// segment's clock lane, beside the stamp.
     pub(crate) fn record_on(
         &self,
         segment: &mut ThreadSegment,
@@ -486,8 +592,8 @@ impl Recorder {
         proc_name: ProcName,
         kind: EventKind,
     ) -> Event {
-        let event = match &self.vclocks {
-            None => self.stamp(monitor, pid, proc_name, kind),
+        let (stamp, vc) = match &self.vclocks {
+            None => (self.stamp(monitor, pid, proc_name, kind), VClock::UNSET),
             Some(table) => {
                 let mut table = table.lock();
                 if !segment.clock.is_set() {
@@ -507,18 +613,18 @@ impl Recorder {
                 ) {
                     table.monitors.entry(monitor).or_insert(VClock::UNSET).merge(&segment.clock);
                 }
-                self.stamp(monitor, pid, proc_name, kind).with_vc(segment.clock)
+                (self.stamp(monitor, pid, proc_name, kind), segment.clock)
             }
         };
-        segment.push(event);
-        event
+        segment.push(stamp, vc);
+        stamp.event(vc)
     }
 
     /// Registers (and returns) a fresh per-thread writer segment. The
     /// caller owns the writer side; the recorder keeps the drain side.
     pub(crate) fn new_thread_segment(&self) -> ThreadSegment {
         let shared = Arc::new(SegmentShared::default());
-        let current = Arc::new(Chunk::new());
+        let current = Arc::new(Chunk::new(self.clocks_enabled()));
         shared.chunks.lock().push(Arc::clone(&current));
         self.shared.segments.lock().push(Arc::clone(&shared));
         ThreadSegment { shared, current, cursor: 0, clock: VClock::UNSET }
@@ -616,6 +722,45 @@ pub struct Handover {
     streams: Vec<Vec<ChunkRange>>,
 }
 
+/// One stream's read position in [`Handover::merge_into`]: slot `at`
+/// of the current range's lanes, and the ranges behind it.
+struct Cursor<'a> {
+    stamps: &'a [Stamp],
+    clocks: Option<&'a [VClock]>,
+    at: usize,
+    rest: std::slice::Iter<'a, ChunkRange>,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor on the stream's first event; `None` for an empty
+    /// stream.
+    fn new(stream: &'a [ChunkRange]) -> Option<Self> {
+        let mut cursor = Cursor { stamps: &[], clocks: None, at: 0, rest: stream.iter() };
+        cursor.next_range().then_some(cursor)
+    }
+
+    /// Moves to the next range (ranges are never empty); `false` when
+    /// none is left.
+    fn next_range(&mut self) -> bool {
+        let Some(range) = self.rest.next() else { return false };
+        (self.stamps, self.clocks, self.at) = (range.stamps(), range.clocks(), 0);
+        true
+    }
+
+    fn head_seq(&self) -> u64 {
+        self.stamps[self.at].seq
+    }
+
+    /// Takes the head event and advances; `false` when the stream is
+    /// exhausted.
+    fn take(&mut self, out: &mut Vec<Event>) -> bool {
+        let vc = self.clocks.map_or(VClock::UNSET, |clocks| clocks[self.at]);
+        out.push(self.stamps[self.at].event(vc));
+        self.at += 1;
+        self.at < self.stamps.len() || self.next_range()
+    }
+}
+
 impl Handover {
     /// Events in the window.
     pub fn len(&self) -> usize {
@@ -628,11 +773,37 @@ impl Handover {
     }
 
     /// Appends the window to `out`, k-way merged into global `seq`
-    /// order, each event copied once from its chunk slot; the chunks
-    /// are freed on return.
+    /// order, each event rebuilt once from its chunk slots (the stamp,
+    /// and the clock if the chunk has a clock lane); the chunks are
+    /// freed on return.
+    ///
+    /// A single stream is appended range by range without any per-event
+    /// comparison. Otherwise the merge is a repeated min-head selection
+    /// — the stream count is the *thread* count, small enough that a
+    /// heap would cost more than it saves.
     pub fn merge_into(self, out: &mut Vec<Event>) {
         out.reserve(self.len());
-        merge_runs_by_seq(self.streams.iter().map(|s| s.iter().map(ChunkRange::events)), out);
+        if let [stream] = self.streams.as_slice() {
+            for range in stream {
+                range.append_to(out);
+            }
+            return;
+        }
+        let mut cursors: Vec<Cursor<'_>> =
+            self.streams.iter().filter_map(|s| Cursor::new(s)).collect();
+        while !cursors.is_empty() {
+            let mut best = 0;
+            let mut best_seq = cursors[0].head_seq();
+            for (i, cursor) in cursors.iter().enumerate().skip(1) {
+                if cursor.head_seq() < best_seq {
+                    best = i;
+                    best_seq = cursor.head_seq();
+                }
+            }
+            if !cursors[best].take(out) {
+                cursors.swap_remove(best);
+            }
+        }
     }
 }
 
@@ -645,6 +816,7 @@ impl Default for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmon_core::CondId;
 
     #[test]
     fn records_with_monotone_seq_and_time() {
@@ -765,29 +937,32 @@ mod tests {
 
     /// The drain this module had before hand-over, kept as the
     /// reference: copy event by event out of every chunk under the
-    /// registry lock, then merge the copies.
+    /// registry lock, then sort the copies by `seq`.
     fn drain_per_event(r: &Recorder) -> Vec<Event> {
-        let mut segments = r.shared.segments.lock();
-        let mut streams = Vec::new();
-        segments.retain(|seg| {
-            let mut stream = Vec::new();
+        let mut window = Vec::new();
+        r.shared.segments.lock().retain(|seg| {
             seg.chunks.lock().retain(|chunk| {
                 let n = chunk.len.load(Ordering::Acquire);
                 let t = chunk.taken.load(Ordering::Relaxed);
-                for slot in &chunk.slots[t..n] {
+                for i in t..n {
                     // SAFETY: slots below the acquire-loaded `len` are
                     // fully written and never written again.
-                    stream.push(unsafe { (*slot.get()).assume_init() });
+                    let stamp = unsafe { (*chunk.stamps[i].get()).assume_init() };
+                    // SAFETY: the same holds for the clock lane, whose
+                    // slot is written before the same release store.
+                    let vc = chunk
+                        .clocks
+                        .as_ref()
+                        .map_or(VClock::UNSET, |lane| unsafe { (*lane[i].get()).assume_init() });
+                    window.push(stamp.event(vc));
                 }
                 chunk.taken.store(n, Ordering::Relaxed);
                 n != CHUNK_EVENTS
             });
-            if !stream.is_empty() {
-                streams.push(stream);
-            }
             !seg.exhausted()
         });
-        rmon_core::event::merge_by_seq(streams)
+        window.sort_unstable_by_key(|e| e.seq);
+        window
     }
 
     fn push_one(r: &Recorder, segment: &mut ThreadSegment, pid: u32) -> Event {
@@ -908,5 +1083,106 @@ mod tests {
         drop(r.hand_over());
         assert_eq!(r.pending(), 0);
         assert!(r.drain_window().is_empty());
+    }
+
+    #[test]
+    fn stamp_fits_in_half_an_event() {
+        // A chunk slot is the event without its clock; growing it past
+        // 32 bytes costs memory on every event in flight.
+        assert!(std::mem::size_of::<Stamp>() <= 32, "{}", std::mem::size_of::<Stamp>());
+    }
+
+    /// `n` events on the calling thread with every field varied, as
+    /// `record` returned them.
+    fn record_varied(r: &Recorder, thread: u32, n: usize) -> Vec<Event> {
+        (0..n as u32)
+            .map(|i| {
+                let cond = CondId::new((i % 5) as u16);
+                let kind = match i % 5 {
+                    0 => EventKind::Enter { granted: i % 2 == 0 },
+                    1 => EventKind::Wait { cond },
+                    2 => EventKind::SignalExit { cond: Some(cond), resumed_waiter: true },
+                    3 => EventKind::SignalExit { cond: None, resumed_waiter: false },
+                    _ => EventKind::Terminate,
+                };
+                let pid = Pid::new(100 * thread + i % 3);
+                r.record(MonitorId::new(i % 7), pid, ProcName::new((i % 4) as u16), kind)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compact_chunks_keep_every_field() {
+        // One thread, then two at once, each past two chunk boundaries
+        // (a window of one stream is appended range by range, one of
+        // two is merged event by event): what the window holds must be
+        // exactly what `record` returned, clock included when the
+        // recorder keeps clocks and unset when it does not.
+        let per_thread = 2 * CHUNK_EVENTS + 101;
+        for clocked in [false, true] {
+            let r = Arc::new(if clocked { Recorder::with_clocks() } else { Recorder::new() });
+            for threads in [1, 2] {
+                let writers: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let r = Arc::clone(&r);
+                        std::thread::spawn(move || record_varied(&r, t, per_thread))
+                    })
+                    .collect();
+                let mut recorded: Vec<Event> =
+                    writers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+                recorded.sort_unstable_by_key(|e| e.seq);
+                assert!(recorded.iter().all(|e| e.vc.is_set() == clocked), "clocked: {clocked}");
+                assert_eq!(r.drain_window(), recorded, "clocked: {clocked}, {threads} threads");
+                assert_eq!(r.pending(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_clock_is_monotone_and_agrees_with_instant_past_calibration() {
+        // Read from creation to 30 ms past the calibration window, so
+        // the clock crosses from `Instant` to the TSC (on hosts with an
+        // invariant TSC; elsewhere it stays on `Instant` throughout).
+        use std::time::Duration;
+        #[cfg(target_arch = "x86_64")]
+        const WINDOW: Duration = Duration::from_nanos(CALIBRATION_WINDOW);
+        #[cfg(not(target_arch = "x86_64"))]
+        const WINDOW: Duration = Duration::ZERO;
+        let clock = FastClock::new();
+        let start = Instant::now();
+        // A clock read paired with `Instant`, retried until no
+        // preemption widened the pairing.
+        let paired = || loop {
+            let before = Instant::now();
+            let read = clock.now();
+            let after = Instant::now();
+            if after - before < Duration::from_micros(50) {
+                return (before + (after - before) / 2, read);
+            }
+        };
+        let mut last = clock.now();
+        let mut first_calibrated = None;
+        while start.elapsed() < WINDOW + Duration::from_millis(30) {
+            let now = clock.now();
+            assert!(now >= last, "clock stepped back: {last} -> {now}");
+            last = now;
+            if first_calibrated.is_none() && start.elapsed() > WINDOW + Duration::from_millis(1) {
+                first_calibrated = Some(paired());
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert!(
+            !clock.tsc_usable || clock.mult.load(Ordering::Relaxed) != 0,
+            "an invariant TSC is in use once the window has passed"
+        );
+        let (i0, c0) = first_calibrated.expect("read past the window");
+        let (i1, c1) = paired();
+        let by_instant = (i1 - i0).as_nanos() as f64;
+        let by_clock = c1.as_nanos().saturating_sub(c0.as_nanos()) as f64;
+        assert!(by_instant >= 20e6, "{by_instant} ns measured");
+        assert!(
+            (by_clock - by_instant).abs() <= by_instant / 100.0,
+            "clock {by_clock} ns vs Instant {by_instant} ns"
+        );
     }
 }

@@ -1099,9 +1099,10 @@ mod tests {
         // The same single-thread faulty script through the full rt
         // record path (RawCore::observe → record_observe → mode
         // branch): every instrumentation mode must converge on the
-        // sharded reference verdicts once a barrier quiesces the
-        // asynchronous pipeline. Single-threaded driving keeps pids,
-        // monitor ids and event seqs identical across runtimes.
+        // sharded reference verdicts once a checkpoint barrier has
+        // flushed the thread's handle and checked the window.
+        // Single-threaded driving keeps pids, monitor ids and event
+        // seqs identical across runtimes.
         let drive = |rt: &Runtime| {
             let allocators: Vec<_> =
                 (0..4).map(|i| crate::ResourceAllocator::new(rt, &format!("r{i}"), 2)).collect();
@@ -1132,7 +1133,8 @@ mod tests {
             // Every event streams (allocators have order concerns) and
             // none is lost to fire-and-forget: 4 allocators × 4 calls
             // × (Enter + Signal-Exit). service_stats flushes the
-            // thread handle and quiesces the async queues first.
+            // thread handle, and the backend's stats wait until the
+            // shards have processed every batch.
             assert_eq!(rt.service_stats().total_events(), 32, "{mode:?}");
             assert_eq!(verdicts(&rt), want, "{mode:?} must match the sharded reference");
         }
