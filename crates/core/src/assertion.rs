@@ -15,11 +15,10 @@ use crate::rule::RuleId;
 use crate::state::MonitorState;
 use crate::time::Nanos;
 use crate::violation::Violation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A declarative predicate over an observed monitor state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateAssertion {
     /// `|EQ| ≤ n`: bounded entry-queue backlog.
     EntryQueueAtMost(usize),

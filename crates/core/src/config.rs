@@ -13,7 +13,6 @@
 //!   real-time"*.
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Whether (and when) the detector runs the predictive pass over the
 /// recorded happens-before partial order (see
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// Default **off**: prediction adds clock bookkeeping on the recording
 /// hot path and an enumeration pass at checkpoints, so it is strictly
 /// opt-in (the `recording_only_ratio` budget is measured with it off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PredictMode {
     /// No prediction: only the executed schedule is judged.
     #[default]
@@ -40,9 +39,8 @@ impl PredictMode {
     }
 }
 
-/// Per-monitor instrumentation mode: how long a monitor operation keeps
-/// offering its event to the detection layer when the layer pushes
-/// back (a full shard inbox,
+/// Instrumentation mode: how long a monitor operation keeps offering
+/// its event to the detection layer when the layer pushes back (a full shard inbox,
 /// [`Backpressure::Full`](crate::detect::Backpressure::Full)).
 ///
 /// The mode is applied in one place, the embedding runtime's record
@@ -62,11 +60,11 @@ impl PredictMode {
 ///   recorded window, so verdicts are unchanged — only their latency
 ///   moves.
 ///
-/// The default is `Sync` (paper-faithful). Backends that support
-/// per-monitor modes (the `AsyncBackend`) register every monitor in
-/// the config value; a monitor's mode then changes only when the
-/// backend's owner sets it (`AsyncBackend::set_mode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// The default is `Sync` (paper-faithful). The mode is runtime
+/// configuration, [`DetectorConfig::mode`]: every monitor of a runtime
+/// uses it for the runtime's whole life, whichever backend checks the
+/// events. No backend holds or answers a mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Block until the event reaches a shard inbox (paper-faithful).
     #[default]
@@ -91,7 +89,7 @@ pub enum Mode {
 ///     .build();
 /// assert_eq!(cfg.t_max, Nanos::from_millis(100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// Maximum time inside a monitor (`Tmax`).
     pub t_max: Nanos,
@@ -103,9 +101,9 @@ pub struct DetectorConfig {
     pub check_interval: Nanos,
     /// Predictive-detection mode (default [`PredictMode::Off`]).
     pub predict: PredictMode,
-    /// Instrumentation mode every monitor starts in (default [`Mode::Sync`],
-    /// paper-faithful). Only mode-aware backends consult it; the
-    /// inline detector is synchronous by construction.
+    /// Instrumentation mode (default [`Mode::Sync`], paper-faithful):
+    /// the embedding runtime's record path applies it to every monitor
+    /// whose events stream in real time. Backends do not read it.
     pub mode: Mode,
     /// Reject monitor registrations whose spec has Error-level static
     /// diagnostics (`RML0xx`, see [`crate::spec::analyze`]).

@@ -30,11 +30,15 @@
 //!   core: monitors partition across worker shards, each handle owns
 //!   per-shard batch buffers plus its own clones of the shard inbox
 //!   senders — the multi-producer ingestion front-end.
+//!   [`AsyncBackend`](crate::detect::AsyncBackend) is another name of
+//!   it.
 //! * [`ScheduledBackend`](crate::detect::ScheduledBackend) — the same
 //!   core with a ticker (a thread sweeps the shards round-robin, no
-//!   global barrier) — and [`AsyncBackend`](crate::detect::AsyncBackend)
-//!   — the same core with per-monitor instrumentation modes, which the
-//!   embedding runtime applies on its record path.
+//!   global barrier).
+//!
+//! No backend holds an instrumentation [`Mode`](crate::Mode): how long
+//! an observing thread keeps offering an event its handle refused is
+//! configuration of the embedding runtime, applied on its record path.
 //!
 //! # Why per-thread handles are sound
 //!
@@ -80,7 +84,7 @@
 //! }
 //! ```
 
-use crate::config::{DetectorConfig, Mode};
+use crate::config::DetectorConfig;
 use crate::detect::{Detector, ServiceStats, ShardStats};
 use crate::event::Event;
 use crate::ids::{MonitorId, Pid, ProcName};
@@ -298,8 +302,8 @@ pub trait ProducerHandle: Send + std::fmt::Debug {
     /// [`Backpressure::Accepted`] — correct for handles that never
     /// block on a full queue, like the inline backend's synchronous
     /// handle. A handle never waits here: how long to keep retrying
-    /// after `Full` is the monitor's [`Mode`], which the caller
-    /// applies.
+    /// after `Full` is the instrumentation [`Mode`](crate::Mode), which
+    /// the caller applies.
     fn try_observe(&mut self, event: Event) -> Backpressure {
         self.observe(event);
         Backpressure::Accepted
@@ -450,19 +454,6 @@ pub trait DetectionBackend: Send + Sync + std::fmt::Debug {
     fn register_empty(&self, monitor: MonitorId, spec: Arc<MonitorSpec>, now: Nanos) {
         let initial = spec.empty_state();
         self.register(monitor, spec, &initial, now);
-    }
-
-    /// The instrumentation [`Mode`] a monitor's observers should use
-    /// *right now*. The paper's detector is synchronous, so the
-    /// default is [`Mode::Sync`]; the shard core answers its configured
-    /// `DetectorConfig::mode`, and an `AsyncBackend` the monitor's mode
-    /// cell, which only its owner's `set_mode` moves. Embedding
-    /// runtimes consult this on the record path to decide how long a
-    /// monitor operation keeps retrying a hand-off that reported
-    /// [`Backpressure::Full`].
-    fn instrumentation_mode(&self, monitor: MonitorId) -> Mode {
-        let _ = monitor;
-        Mode::Sync
     }
 }
 

@@ -30,11 +30,11 @@
 //! it: [`DetectionBackend`] (where checking runs) × [`ProducerHandle`]
 //! (cheap per-thread ingestion handles that own their own batch
 //! buffers). It has two implementations: [`InlineBackend`], and the
-//! shard core, whose configurations are named [`ShardedBackend`],
-//! [`ScheduledBackend`] (the core with a checkpoint ticker) and
-//! [`AsyncBackend`] (the core with a per-monitor instrumentation
-//! [`Mode`](crate::Mode) that only its owner sets, and that an
-//! embedding runtime applies on its record path).
+//! shard core, whose configurations are named [`ShardedBackend`]
+//! ([`AsyncBackend`] is another name of it) and [`ScheduledBackend`]
+//! (the core with a checkpoint ticker). No backend holds an
+//! instrumentation [`Mode`](crate::Mode): the embedding runtime
+//! applies its configured mode on its record path.
 //! The checkpoint half of the API is a trait
 //! pair of its own: a [`SnapshotProvider`] supplies live monitor-state
 //! observations (the paper's `s_t`) and

@@ -23,9 +23,10 @@
 //!   clones of the inbox senders, one send per shard per batch, and a
 //!   full inbox blocks the producer's `flush` (backpressure) or makes
 //!   its `try_flush` report [`Backpressure::Full`] with the batch kept.
-//!   How long an observing thread keeps trying is its monitor's
-//!   [`Mode`], which the embedding runtime applies on its record path;
-//!   the handle itself never waits on anything but a full inbox.
+//!   How long an observing thread keeps trying is the instrumentation
+//!   [`Mode`](crate::Mode), which the embedding runtime applies on its
+//!   record path; the handle itself never waits on anything but a full
+//!   inbox.
 //! * **Checkpoint cadence** — who invokes the checking routine. The
 //!   *caller* always can ([`DetectionBackend::checkpoint`],
 //!   [`DetectionBackend::checkpoint_window`]); with a *ticker* the core
@@ -34,10 +35,10 @@
 //!   find surfaces through [`DetectionBackend::drain_violations`].
 //!
 //! One struct, [`ShardCore`], holds the pool with the ticker as an
-//! optional member, and implements [`DetectionBackend`] once. The three
+//! optional member, and implements [`DetectionBackend`] once. The two
 //! configurations that exist are named [`ShardedBackend`] (caller
-//! checkpoints), [`ScheduledBackend`] (plus the ticker) and
-//! [`AsyncBackend`] (plus a per-monitor [`Mode`] that its owner sets).
+//! checkpoints, also named [`AsyncBackend`]) and [`ScheduledBackend`]
+//! (plus the ticker).
 //!
 //! **Ordering precondition.** The equivalence with one inline detector
 //! assumes each *caller's* events (per [`Pid`], per monitor) are
@@ -83,7 +84,7 @@
 //! assert_eq!(report.events_checked, 2);
 //! ```
 
-use crate::config::{DetectorConfig, Mode};
+use crate::config::DetectorConfig;
 use crate::detect::backend::{
     gather_snapshots, lock, Backpressure, CheckpointScope, DetectionBackend, ProducerHandle,
     ProviderSlot, SnapshotProvider,
@@ -99,7 +100,7 @@ use crate::violation::{FaultReport, Violation};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -533,51 +534,6 @@ impl Drop for ShardedProducer {
 }
 
 // ---------------------------------------------------------------------
-// Per-monitor instrumentation modes
-// ---------------------------------------------------------------------
-
-/// One monitor's current [`Mode`] in one atomic word, so that
-/// [`AsyncBackend::set_mode`] and the per-event
-/// [`DetectionBackend::instrumentation_mode`] both need only the shared
-/// side of the mode map's lock; registration alone takes it
-/// exclusively. Tag in the top bits, Hybrid timeout in the low 62
-/// (timeouts saturate at ~146 years, which is not a real constraint).
-#[derive(Debug)]
-struct ModeCell(AtomicU64);
-
-const MODE_TAG_SHIFT: u32 = 62;
-const MODE_SYNC: u64 = 0;
-const MODE_ASYNC: u64 = 1;
-const MODE_HYBRID: u64 = 2;
-const MODE_VALUE_MASK: u64 = (1 << MODE_TAG_SHIFT) - 1;
-
-impl ModeCell {
-    fn new(mode: Mode) -> Self {
-        let cell = ModeCell(AtomicU64::new(0));
-        cell.store(mode);
-        cell
-    }
-
-    fn store(&self, mode: Mode) {
-        let bits = match mode {
-            Mode::Sync => MODE_SYNC << MODE_TAG_SHIFT,
-            Mode::Async => MODE_ASYNC << MODE_TAG_SHIFT,
-            Mode::Hybrid(t) => (MODE_HYBRID << MODE_TAG_SHIFT) | (t.as_nanos() & MODE_VALUE_MASK),
-        };
-        self.0.store(bits, Ordering::Release);
-    }
-
-    fn load(&self) -> Mode {
-        let bits = self.0.load(Ordering::Acquire);
-        match bits >> MODE_TAG_SHIFT {
-            MODE_SYNC => Mode::Sync,
-            MODE_ASYNC => Mode::Async,
-            _ => Mode::Hybrid(Nanos::new(bits & MODE_VALUE_MASK)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Ticker cadence
 // ---------------------------------------------------------------------
 
@@ -771,8 +727,8 @@ struct Threads {
 
 /// The sharded detection core (see the [module docs](self)): a pool of
 /// shard workers, each owning a private [`Detector`], with an optional
-/// ticker beside it and optional per-monitor mode cells, and the one
-/// [`DetectionBackend`] implementation of the family.
+/// ticker beside it, and the one [`DetectionBackend`] implementation of
+/// the family.
 ///
 /// Functionally equivalent to one inline [`Detector`] — same
 /// registrations, same violations — but the checking work for
@@ -781,17 +737,11 @@ struct Threads {
 /// event.
 ///
 /// `FLAVOR` only names the configuration a value was constructed in,
-/// so that each of [`ShardedBackend`], [`ScheduledBackend`] and
-/// [`AsyncBackend`] has its own `new`; construct through those names.
-/// Dropping the core shuts it down.
+/// so that [`ShardedBackend`] and [`ScheduledBackend`] each have their
+/// own `new`; construct through those names. Dropping the core shuts
+/// it down.
 #[derive(Debug)]
 pub struct ShardCore<const FLAVOR: u8> {
-    /// The configured instrumentation mode.
-    mode: Mode,
-    /// Per registered monitor, its mode cell — only on an
-    /// [`AsyncBackend`], so the other flavours answer
-    /// [`DetectionBackend::instrumentation_mode`] without a lock.
-    modes: Option<RwLock<HashMap<MonitorId, ModeCell>>>,
     /// Events per hand-off: a handle created by
     /// [`DetectionBackend::producer`] flushes at this many.
     batch: usize,
@@ -801,8 +751,7 @@ pub struct ShardCore<const FLAVOR: u8> {
 
 const SHARDED: u8 = 0;
 const SCHEDULED: u8 = 1;
-const ASYNC: u8 = 2;
-const LABELS: [&str; 3] = ["sharded", "scheduled", "async"];
+const LABELS: [&str; 2] = ["sharded", "scheduled"];
 
 /// The core with bounded blocking ingest and caller-driven checkpoints:
 /// the multi-producer ingestion front-end. Every producer handle owns
@@ -823,19 +772,11 @@ pub type ShardedBackend = ShardCore<SHARDED>;
 /// epoch injects its clock via [`ScheduledBackend::with_clock`].
 pub type ScheduledBackend = ShardCore<SCHEDULED>;
 
-/// [`ShardedBackend`] plus a per-monitor [`Mode`]:
-/// `DetectorConfig::mode` at registration, changed only by
-/// [`AsyncBackend::set_mode`], and answered by
-/// [`DetectionBackend::instrumentation_mode`]. Its handles are the
-/// same buffered handles; an embedding runtime reads the mode on its
-/// record path and decides there how long a monitor operation keeps
-/// offering its event to a full inbox.
-///
-/// The paper's instrumentation is fully synchronous: every monitor
-/// operation blocks until its event has reached the detector. The
-/// detectEr line of work makes the sync/async choice a *per-monitor
-/// knob*; this is that knob.
-pub type AsyncBackend = ShardCore<ASYNC>;
+/// Another name of the sharded core, [`ShardedBackend`]. Its
+/// `DetectorConfig::mode` is read by no handle: an instrumentation
+/// mode is the embedding runtime's configuration, applied on its
+/// record path.
+pub type AsyncBackend = ShardedBackend;
 
 impl<const FLAVOR: u8> ShardCore<FLAVOR> {
     /// Spawns `service.shards` worker threads, each owning a private
@@ -877,13 +818,7 @@ impl<const FLAVOR: u8> ShardCore<FLAVOR> {
                 .expect("spawn scheduler ticker");
             threads.ticker = Some((stop, handle));
         }
-        ShardCore {
-            mode: cfg.mode,
-            modes: (FLAVOR == ASYNC).then(RwLock::default),
-            batch: DEFAULT_INGEST_BATCH,
-            shared,
-            threads: Mutex::new(threads),
-        }
+        ShardCore { batch: DEFAULT_INGEST_BATCH, shared, threads: Mutex::new(threads) }
     }
 
     /// Overrides the events per hand-off (clamped to at least 1): how
@@ -932,24 +867,6 @@ impl ScheduledBackend {
     }
 }
 
-impl AsyncBackend {
-    /// Spawns the shard workers. `cfg.mode` is the instrumentation mode
-    /// every monitor is registered in.
-    pub fn new(cfg: DetectorConfig, service: ServiceConfig) -> Self {
-        Self::spawn(cfg, service, None)
-    }
-
-    /// Sets a registered monitor's mode; the monitor's observers read
-    /// it on their next event. Nothing else moves a mode: a monitor
-    /// keeps the one it was registered in until this call.
-    pub fn set_mode(&self, monitor: MonitorId, mode: Mode) {
-        let Some(modes) = &self.modes else { return };
-        if let Some(cell) = modes.read().unwrap_or_else(|p| p.into_inner()).get(&monitor) {
-            cell.store(mode);
-        }
-    }
-}
-
 impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
     /// Registers a monitor on its shard. Like [`Detector::register`],
     /// events for unregistered monitors are ignored.
@@ -969,10 +886,6 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
         let shard = self.shard_of(monitor);
         self.shared
             .send(shard, ShardMsg::Register { monitor, spec, initial: initial.clone(), now });
-        if let Some(modes) = &self.modes {
-            let mut modes = modes.write().unwrap_or_else(|p| p.into_inner());
-            modes.insert(monitor, ModeCell::new(self.mode));
-        }
     }
 
     fn producer(&self) -> Box<dyn ProducerHandle> {
@@ -1111,15 +1024,6 @@ impl<const FLAVOR: u8> DetectionBackend for ShardCore<FLAVOR> {
     fn shard_of(&self, monitor: MonitorId) -> usize {
         shard_for(monitor, self.shared.senders.len())
     }
-
-    /// The monitor's mode cell on an [`AsyncBackend`] (set by
-    /// [`AsyncBackend::set_mode`]); elsewhere, and for an unregistered
-    /// monitor, the configured mode.
-    fn instrumentation_mode(&self, monitor: MonitorId) -> Mode {
-        let Some(modes) = &self.modes else { return self.mode };
-        let modes = modes.read().unwrap_or_else(|p| p.into_inner());
-        modes.get(&monitor).map_or(self.mode, ModeCell::load)
-    }
 }
 
 impl<const FLAVOR: u8> Drop for ShardCore<FLAVOR> {
@@ -1131,6 +1035,7 @@ impl<const FLAVOR: u8> Drop for ShardCore<FLAVOR> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mode;
     use crate::detect::backend::SnapshotTable;
     use crate::spec::AllocatorSpec;
 
@@ -1955,7 +1860,7 @@ mod tests {
         backend.shutdown();
     }
 
-    // -- per-monitor modes -------------------------------------------
+    // -- configured modes --------------------------------------------
 
     type VerdictKeys = Vec<(Option<Pid>, Option<u64>, RuleId)>;
 
@@ -1981,54 +1886,5 @@ mod tests {
             }
             b.shutdown();
         }
-    }
-
-    #[test]
-    fn mode_cell_round_trips_every_mode() {
-        for mode in
-            [Mode::Sync, Mode::Async, Mode::Hybrid(Nanos::ZERO), Mode::Hybrid(Nanos::from_secs(3))]
-        {
-            let cell = ModeCell::new(mode);
-            assert_eq!(cell.load(), mode);
-        }
-        let cell = ModeCell::new(Mode::Sync);
-        cell.store(Mode::Hybrid(Nanos::from_millis(7)));
-        assert_eq!(cell.load(), Mode::Hybrid(Nanos::from_millis(7)));
-    }
-
-    /// Verdicts do not move a mode: a monitor set to `Async` stays
-    /// `Async` through a real-time violation, a denied lookahead and the
-    /// checkpoints after them.
-    #[test]
-    fn only_set_mode_moves_a_mode() {
-        let (spec, al) = allocator_spec();
-        let b = async_core(Mode::Sync, 2);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        b.set_mode(m, Mode::Async);
-        let mut p = b.producer();
-        p.observe(Event::enter(1, Nanos::new(10), m, Pid::new(1), al.release, true));
-        p.flush();
-        assert!(!b.drain_violations().is_empty());
-        assert!(b.call_would_violate(m, Pid::new(1), al.release).is_some());
-        for now in [100, 200] {
-            let _ = b.checkpoint(CheckpointScope::All, Nanos::new(now));
-            assert_eq!(b.instrumentation_mode(m), Mode::Async, "after the checkpoint at {now}");
-        }
-        b.shutdown();
-    }
-
-    #[test]
-    fn set_mode_overrides_and_instrumentation_mode_reflects_it() {
-        let (spec, _) = allocator_spec();
-        let b = async_core(Mode::Async, 1);
-        let m = MonitorId::new(0);
-        b.register_empty(m, Arc::clone(&spec), Nanos::ZERO);
-        let hybrid = Mode::Hybrid(Nanos::from_millis(2));
-        b.set_mode(m, hybrid);
-        assert_eq!(b.instrumentation_mode(m), hybrid);
-        // Unregistered monitors answer the configured mode.
-        assert_eq!(b.instrumentation_mode(MonitorId::new(9)), Mode::Async);
-        b.shutdown();
     }
 }

@@ -25,11 +25,10 @@
 use crate::ids::{CondId, MonitorId, Pid, PidProc, ProcName};
 use crate::time::Nanos;
 use crate::vclock::VClock;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a scheduling event, with its kind-specific payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// The `Enter` primitive was invoked.
     Enter {
@@ -70,7 +69,7 @@ impl EventKind {
 }
 
 /// A single scheduling event `lᵢ` of the history sequence `L`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event {
     /// Global sequence number; fixes the total order `<L` across all
     /// monitors watched by one recorder.
@@ -320,20 +319,5 @@ mod tests {
             "Signal-Exit"
         );
         assert_eq!(EventKind::Terminate.tag(), "Terminate");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let e =
-            Event::wait(6, Nanos::new(20), mid(), Pid::new(1), ProcName::new(0), CondId::new(1));
-        let json = serde_json_like(&e);
-        assert!(json.contains("Wait"));
-    }
-
-    /// Tiny stand-in so we don't need serde_json as a dev-dep: the debug
-    /// formatting of the Serialize impl structure is enough to check the
-    /// derive exists and compiles.
-    fn serde_json_like<T: serde::Serialize + std::fmt::Debug>(t: &T) -> String {
-        format!("{t:?}")
     }
 }

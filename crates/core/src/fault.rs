@@ -18,11 +18,10 @@
 //! experiment (EXP-COV) validates it empirically.
 
 use crate::rule::RuleId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three levels of the fault taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultLevel {
     /// Faults in the implementation of the monitor primitives.
     Implementation,
@@ -49,7 +48,7 @@ impl fmt::Display for FaultLevel {
 /// `X*` = Signal-Exit procedure faults, `T1` = internal termination,
 /// `P*` = monitor-procedure-level faults, `U*` = user-process-level
 /// faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// I.a.1 — Mutual exclusion is not guaranteed: two or more processes
     /// have entered the monitor at the same time.

@@ -10,7 +10,6 @@
 //! semantic roles) live in the monitor specification
 //! ([`crate::spec::MonitorSpec`]); events carry only the indices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A process identifier (the paper's `Pid`).
@@ -26,9 +25,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "P3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pid(u32);
 
 impl Pid {
@@ -68,9 +65,7 @@ impl fmt::Display for Pid {
 ///
 /// One detector instance can watch several monitors; every event carries
 /// the identifier of the monitor it happened in.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MonitorId(u32);
 
 impl MonitorId {
@@ -111,9 +106,7 @@ impl fmt::Display for MonitorId {
 ///
 /// The semantic role of the procedure (Send-like, Receive-like, …) is
 /// resolved through [`crate::spec::MonitorSpec::procedure`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcName(u16);
 
 impl ProcName {
@@ -151,9 +144,7 @@ impl fmt::Display for ProcName {
 
 /// Index of a condition variable within its monitor's specification
 /// (the paper's `Cond`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CondId(u16);
 
 impl CondId {
@@ -191,7 +182,7 @@ impl fmt::Display for CondId {
 
 /// A `(Pid, ProcName)` pair — the element type of the paper's checking
 /// lists (`Pid(Pr)` in §3.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PidProc {
     /// The calling process.
     pub pid: Pid,

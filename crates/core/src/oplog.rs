@@ -28,8 +28,7 @@
 //! sequence numbers and monitor ids restart from zero behind it, so a
 //! replayer resets its detector state at each epoch boundary.
 //!
-//! The codec is hand-rolled little-endian binary (the workspace's
-//! vendored `serde` shim is derive-markers only) and deliberately
+//! The codec is hand-rolled little-endian binary and deliberately
 //! simple: fixed-width integers, `u32`-length-prefixed strings and
 //! vectors, one tag byte per enum. [`encode_record`] / [`decode_record`]
 //! round-trip exactly; [`crc32`] is the IEEE checksum the storage layer

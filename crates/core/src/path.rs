@@ -30,8 +30,6 @@
 //! FD-Rule 7).
 
 use crate::ids::ProcName;
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -253,19 +251,6 @@ impl PathExpr {
 impl fmt::Display for PathExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.src)
-    }
-}
-
-impl Serialize for PathExpr {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.src)
-    }
-}
-
-impl<'de> Deserialize<'de> for PathExpr {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        PathExpr::parse(&s).map_err(D::Error::custom)
     }
 }
 

@@ -8,7 +8,6 @@
 //! paper proves any FD violation implies an ST violation; our property
 //! tests exercise that equivalence.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a detection rule.
@@ -16,7 +15,7 @@ use std::fmt;
 /// The `St*` variants are what the three detection algorithms report;
 /// the `Fd*` variants are what the full-history reference checker
 /// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     // ----- ST-Rules (incremental engine) -------------------------------
     /// ST-1: at a checkpoint the replayed Enter-Q-List must equal the

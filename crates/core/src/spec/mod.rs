@@ -15,7 +15,6 @@
 use crate::assertion::StateAssertion;
 use crate::ids::{CondId, ProcName};
 use crate::path::PathExpr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub mod analyze;
@@ -25,7 +24,7 @@ pub mod textfmt;
 pub use analyze::{analyze_all, analyze_fleet, DiagCode, Diagnostic, LintReport, Severity};
 
 /// Functional classification of monitors (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MonitorClass {
     /// Pairs of processes exchange data through a bounded buffer under
     /// the monitor's mutual exclusion (`Send` / `Receive`). Subject to
@@ -58,7 +57,7 @@ impl fmt::Display for MonitorClass {
 /// Roles decouple rule logic from procedure *names*: a communication
 /// coordinator may call its procedures `put`/`take`, declaring them with
 /// roles [`ProcRole::Send`] / [`ProcRole::Receive`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProcRole {
     /// Deposits one item / consumes one free slot (ST-7 counts `s`).
     Send,
@@ -87,7 +86,7 @@ impl fmt::Display for ProcRole {
 }
 
 /// Semantic role of a condition variable, used by ST-7c/d.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CondRole {
     /// Senders wait here while the buffer is full (`R# = 0`).
     BufferFull,
@@ -113,7 +112,7 @@ impl fmt::Display for CondRole {
 }
 
 /// Declaration of one monitor procedure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcedureSpec {
     /// Human-readable name, e.g. `"send"`.
     pub name: String,
@@ -122,7 +121,7 @@ pub struct ProcedureSpec {
 }
 
 /// Declaration of one condition variable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CondSpec {
     /// Human-readable name, e.g. `"not_full"`.
     pub name: String,
@@ -132,7 +131,7 @@ pub struct CondSpec {
 
 /// The full static declaration of a monitor, as the augmented construct
 /// of §4 requires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitorSpec {
     /// Monitor name (for reports).
     pub name: String,

@@ -9,11 +9,10 @@
 //! the event sequence.
 
 use crate::ids::{Pid, PidProc};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Observed snapshot of one monitor's scheduling state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MonitorState {
     /// The external (entry) waiting queue `EQ`, head first.
     pub entry_queue: Vec<PidProc>,

@@ -6,7 +6,6 @@
 //! nanosecond counter, so the timer rules (`Tmax`, `Tio`, `Tlimit` of
 //! §3.3) work identically on either substrate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
@@ -21,9 +20,7 @@ use std::time::Duration;
 /// let t1 = t0 + Nanos::from_micros(500);
 /// assert_eq!(t1.saturating_since(t0), Nanos::from_micros(500));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(u64);
 
 impl Nanos {

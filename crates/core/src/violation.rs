@@ -6,12 +6,11 @@ use crate::ids::{MonitorId, Pid, PidProc, ProcName};
 use crate::rule::RuleId;
 use crate::spec::MonitorSpec;
 use crate::time::Nanos;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::sync::Arc;
 
 /// A single detected rule violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The monitor in which the violation was detected.
     pub monitor: MonitorId,
@@ -287,18 +286,6 @@ impl From<&str> for Detail {
     }
 }
 
-impl Serialize for Detail {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
-    }
-}
-
-impl<'de> Deserialize<'de> for Detail {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        String::deserialize(deserializer).map(Detail::Text)
-    }
-}
-
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] {} {}", self.rule, self.monitor, self.message)?;
@@ -323,7 +310,7 @@ impl fmt::Display for Violation {
 /// [`FaultReport::violations`]: they are warnings about an equivalent
 /// schedule the program *could* have taken, not faults the monitored
 /// run exhibited, so [`FaultReport::is_clean`] ignores them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredictedViolation {
     /// The violation as it would be reported in the witness schedule.
     pub violation: Violation,
@@ -348,7 +335,7 @@ impl fmt::Display for PredictedViolation {
 
 /// The result of one invocation of the detection routines — a batch of
 /// violations plus bookkeeping about the checked window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultReport {
     /// All violations found in this checking window.
     pub violations: Vec<Violation>,

@@ -150,11 +150,9 @@ impl RawCore {
     /// held (an invariant of this module), so the recorded-event
     /// counter moves atomically with the queue state it describes.
     /// Whether the recording thread blocks on detection backpressure
-    /// here is the monitor's instrumentation mode — a per-monitor
-    /// choice answered by the backend, not a property of this core
-    /// (only `needs_order`, the *what* to stream, is pinned at
-    /// construction; the *how hard*, `rmon_core::Mode`, is read per
-    /// event so the backend's owner can change it mid-run).
+    /// here is the runtime's instrumentation mode (`rmon_core::Mode`),
+    /// not a property of this core: `needs_order` pins only the *what*
+    /// to stream, the runtime's config the *how hard*.
     #[inline]
     fn observe(&self, pid: Pid, proc_name: ProcName, kind: EventKind) {
         self.rt.record_observe(self.id, pid, proc_name, kind, self.needs_order);

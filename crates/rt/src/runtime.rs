@@ -310,18 +310,17 @@ impl RtInner {
     /// order concerns skip the producer entirely: the periodic
     /// checkpoint's catch-up replay covers them.
     ///
-    /// How hard the recording thread pushes is the monitor's
-    /// **instrumentation mode**, answered per event by
-    /// [`DetectionBackend::instrumentation_mode`] (so the owner of a
-    /// mode-aware backend like
-    /// [`AsyncBackend`](rmon_core::detect::AsyncBackend) can retune a
-    /// monitor at run time). This is the one place a mode turns into
-    /// waiting: a handle never waits on anything but a full inbox,
-    /// which it reports as
-    /// [`Backpressure::Full`](rmon_core::detect::Backpressure::Full):
+    /// How hard the recording thread pushes is the runtime's
+    /// **instrumentation mode**, [`DetectorConfig::mode`], fixed for
+    /// the runtime's life whichever backend it drives. This is the one
+    /// place a mode turns into waiting: a handle never waits on
+    /// anything but a full inbox, which it reports as
+    /// [`Backpressure::Full`](rmon_core::detect::Backpressure::Full)
+    /// (handles that check synchronously, like the inline backend's,
+    /// never report it, so every mode hands such a handle each event
+    /// exactly once):
     ///
-    /// * [`Mode::Sync`] (the default; every non-mode-aware backend) —
-    ///   non-blocking first: the handle's
+    /// * [`Mode::Sync`] (the default) — non-blocking first: the handle's
     ///   [`try_observe`](rmon_core::detect::ProducerHandle::try_observe)
     ///   either hands the batch over or reports backpressure, and the
     ///   recording thread then retries a bounded number of times
@@ -349,17 +348,12 @@ impl RtInner {
         /// Non-blocking flush attempts before falling back to the
         /// blocking hand-off (Sync mode).
         const INGEST_RETRIES: usize = 8;
-        // One backend call per event, outside the thread-state borrow:
-        // mode cells are lock-free reads, and non-mode-aware backends
-        // answer with the constant default.
-        let mode =
-            if stream_realtime { self.backend.instrumentation_mode(monitor) } else { Mode::Sync };
         registry::with_thread_state(self.token, &self.recorder, &self.backend, |st| {
             let event = self.recorder.record_on(&mut st.segment, monitor, pid, proc_name, kind);
             if !stream_realtime {
                 return;
             }
-            match mode {
+            match self.cfg.mode {
                 Mode::Async => {
                     let _ = st.producer.try_observe(event);
                 }
@@ -860,6 +854,10 @@ impl RuntimeBuilder {
     /// dropped as the sole owner; callers that keep their own `Arc`
     /// keep it alive (and responsible for its shutdown).
     ///
+    /// The runtime applies its own instrumentation mode (the builder's
+    /// [`DetectorConfig::mode`]), not the config the backend was built
+    /// with.
+    ///
     /// This is also the seam for *distributed* detection: a
     /// `rmon_net::RemoteBackend` connected to a detection service in
     /// another process is an ordinary `DetectionBackend`, and
@@ -1095,10 +1093,11 @@ mod tests {
     }
 
     #[test]
-    fn async_backend_modes_match_the_sharded_reference_through_the_runtime() {
+    fn every_mode_matches_the_sharded_reference_through_the_runtime() {
         // The same single-thread faulty script through the full rt
         // record path (RawCore::observe → record_observe → mode
-        // branch): every instrumentation mode must converge on the
+        // branch): every instrumentation mode, over the shard core and
+        // over the default inline backend, must converge on the
         // sharded reference verdicts once a checkpoint barrier has
         // flushed the thread's handle and checked the window.
         // Single-threaded driving keeps pids, monitor ids and event
@@ -1127,16 +1126,25 @@ mod tests {
         assert!(!want.is_empty(), "the script injects U1/U3 faults");
 
         for mode in [Mode::Sync, Mode::Async, Mode::Hybrid(Nanos::from_micros(50))] {
-            let rt = async_rt(mode, 2, 4);
-            assert_eq!(rt.backend_label(), "async");
-            drive(&rt);
-            // Every event streams (allocators have order concerns) and
-            // none is lost to fire-and-forget: 4 allocators × 4 calls
-            // × (Enter + Signal-Exit). service_stats flushes the
-            // thread handle, and the backend's stats wait until the
-            // shards have processed every batch.
-            assert_eq!(rt.service_stats().total_events(), 32, "{mode:?}");
-            assert_eq!(verdicts(&rt), want, "{mode:?} must match the sharded reference");
+            let inline =
+                Runtime::builder(DetectorConfig { mode, ..DetectorConfig::without_timeouts() })
+                    .park_timeout(Duration::from_millis(200))
+                    .build();
+            for rt in [async_rt(mode, 2, 4), inline] {
+                let label = rt.backend_label();
+                drive(&rt);
+                // Every event streams (allocators have order concerns)
+                // and none is lost to fire-and-forget: 4 allocators ×
+                // 4 calls × (Enter + Signal-Exit). service_stats
+                // flushes the thread handle, and the backend's stats
+                // wait until the shards have processed every batch.
+                assert_eq!(rt.service_stats().total_events(), 32, "{mode:?} {label}");
+                assert_eq!(
+                    verdicts(&rt),
+                    want,
+                    "{mode:?} {label} must match the sharded reference"
+                );
+            }
         }
     }
 
@@ -1188,11 +1196,9 @@ mod tests {
         }
     }
 
-    /// A backend that checks nothing: it answers one mode for every
-    /// monitor and hands out [`FullHandle`]s.
+    /// A backend that checks nothing and hands out [`FullHandle`]s.
     #[derive(Debug)]
     struct FullBackend {
-        mode: Mode,
         calls: Arc<HandleCalls>,
     }
 
@@ -1235,10 +1241,6 @@ mod tests {
         fn label(&self) -> &'static str {
             "full"
         }
-
-        fn instrumentation_mode(&self, _: MonitorId) -> Mode {
-            self.mode
-        }
     }
 
     /// The record path is the one place a mode turns into waiting.
@@ -1251,8 +1253,9 @@ mod tests {
     fn record_path_applies_each_mode_to_a_full_inbox() {
         let drive = |mode: Mode| {
             let calls = Arc::new(HandleCalls::default());
-            let backend = Arc::new(FullBackend { mode, calls: Arc::clone(&calls) });
-            let rt = Runtime::builder(DetectorConfig::without_timeouts()).backend(backend).build();
+            let backend = Arc::new(FullBackend { calls: Arc::clone(&calls) });
+            let cfg = DetectorConfig { mode, ..DetectorConfig::without_timeouts() };
+            let rt = Runtime::builder(cfg).backend(backend).build();
             let al = crate::ResourceAllocator::new(&rt, "res", 1);
             let start = Instant::now();
             al.request().unwrap();

@@ -2,14 +2,12 @@
 //! redesign.
 //!
 //! [`InlineBackend`], [`ShardedBackend`], [`ScheduledBackend`] and
-//! [`AsyncBackend`] (in every instrumentation mode, including mode
-//! switches mid-run) must report the **same violation multiset,
-//! order-sensitive per monitor**, on the `FleetTrace` workloads at
-//! 1 / 2 / 4 shards — through a single producer handle and through
-//! concurrent per-thread handles alike. Where the events run (inline
-//! on the caller, on worker shards, under a background scheduler,
-//! behind an asynchronous executor) and how hard the producer pushes
-//! (blocking, fire-and-forget, bounded wait) change nothing about
+//! [`AsyncBackend`] (built with every instrumentation mode in its
+//! config) must report the **same violation multiset, order-sensitive
+//! per monitor**, on the `FleetTrace` workloads at 1 / 2 / 4 shards —
+//! through a single producer handle and through concurrent per-thread
+//! handles alike. Where the events run (inline on the caller, on
+//! worker shards, under a background scheduler) changes nothing about
 //! *what* is detected.
 
 use rmon::prelude::*;
@@ -155,45 +153,6 @@ fn concurrent_producers_preserve_the_signature() {
             assert_eq!(stats.total_events(), fleet.events.len() as u64, "async-{mode:?}");
             backend.shutdown();
         }
-    }
-}
-
-#[test]
-fn mid_run_mode_switches_preserve_the_signature() {
-    // The adaptive controller's claim, pinned directly: retuning a
-    // monitor's instrumentation mode *while its stream is in flight*
-    // changes only who waits, never what is detected. The whole fleet
-    // is switched Async → Sync → Hybrid at the third points of the
-    // stream, so every monitor crosses both transitions mid-window.
-    let fleet = allocator_fleet_trace(12, 6, 5);
-    let inline = InlineBackend::new(cfg());
-    let (want_report, _, _) = drive_fleet_backend(&fleet, &inline);
-    let want = signature(&want_report);
-    for shards in SHARD_COUNTS {
-        let backend =
-            AsyncBackend::new(cfg_with(Mode::Async), ServiceConfig::new(shards)).with_batch(7);
-        for (&id, spec) in &fleet.specs {
-            backend.register_empty(id, Arc::clone(spec), Nanos::ZERO);
-        }
-        let mut producer = backend.producer();
-        let n = fleet.events.len();
-        for (i, event) in fleet.events.iter().enumerate() {
-            if i == n / 3 {
-                for &id in fleet.specs.keys() {
-                    backend.set_mode(id, Mode::Sync);
-                }
-            } else if i == 2 * n / 3 {
-                for &id in fleet.specs.keys() {
-                    backend.set_mode(id, Mode::Hybrid(Nanos::from_micros(50)));
-                }
-            }
-            producer.observe(*event);
-        }
-        producer.flush();
-        let mut report = backend.checkpoint_window(fleet.end_time, &fleet.events, &fleet.snapshots);
-        report.violations.extend(backend.drain_violations());
-        assert_eq!(signature(&report), want, "shards={shards}");
-        backend.shutdown();
     }
 }
 
